@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -282,3 +283,97 @@ class TestCounterexamples:
             obj = counterexample(name, **params).to_json_obj()
             text = json.dumps(obj, sort_keys=True)
             assert json.loads(text) == obj
+
+
+def stepped_trace():
+    """F = -tr X - 50 [X_02 > 0.9] on X_00 >= -0.5: rare violations behind domain rejections."""
+    return OperatorDescriptor(
+        name="stepped_trace", family="test", params={},
+        in_domain=lambda w, x: x.entries[0, 0] >= -0.5,
+        raw_evaluate=lambda w, x: -x.trace() - 50.0 * (x.entries[0, 2] > 0.9),
+    )
+
+
+def bumped_pair():
+    """The Class U embedding of -tr X, with g2 raised by 100 where M_01 > 0.45.
+
+    g2 is defined only for M_00 >= 0, so condition 4 redraws M on the trial
+    stream before it finds the violation.
+    """
+    op = eig_sum(identity_monotone())
+    g1, base = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(3))
+    bump = lambda m: 100.0 if m.entries[0, 1] > 0.45 else 0.0
+    g2 = ClassMWitness(name="bumped_g2", which="g2",
+                       eval_fn=lambda t, m: base.eval_fn(t, m) + bump(m),
+                       inv_at_zero_fn=lambda m: base.inv_at_zero_fn(m) - bump(m),
+                       domain_S=lambda m: m.entries[0, 0] >= 0.0, context=base.context)
+    return op, g1, g2
+
+
+def _cond1_case():
+    op = eig_sum(identity_monotone())
+    bad1 = ClassMWitness(name="bad", which="g1", eval_fn=lambda t, m: -t)
+    _, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(3))
+    return check_class_m(op, bad1, g2, small_cfg())
+
+
+def _cond2_case():
+    op = eig_sum(identity_monotone())
+    _, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(3))
+    jumpy = ClassMWitness(name="jumpy", which="g1", eval_fn=lambda t, m: t,
+                          inv_at_zero_fn=lambda m: 50.0 * math.sin(1e8 * float(m.entries[0, 0])))
+    return check_class_m(op, jumpy, g2, small_cfg(seed=5))
+
+
+def _cond3_case():
+    g1 = ClassMWitness(name="naive", which="g1", eval_fn=lambda t, m: t,
+                       inv_at_zero_fn=lambda m: 0.0)
+    g2 = ClassMWitness(name="naive", which="g2", eval_fn=lambda t, m: t,
+                       inv_at_zero_fn=lambda m: 0.0)
+    return check_class_m(inf_laplace(), g1, g2, small_cfg())
+
+
+# The first violation of each case, as (kind, trial_index, sha256 of its
+# canonical JSON). A change to the trial order, the stream a trial draws
+# from, or the resampling policy moves these.
+VIOLATION_GOLDEN = {
+    "ellipticity_anti": (
+        lambda: check_degenerate_ellipticity(anti_elliptic(), small_cfg()),
+        "ellipticity.violation", 0,
+        "bc0319d883345e9ed65ce5f4c7d69188100e8f46467057316f3e84b826de9acb"),
+    "ellipticity_stepped": (
+        lambda: check_degenerate_ellipticity(stepped_trace(),
+                                             SampleConfig(seed=7, trials=5000, dim=3)),
+        "ellipticity.violation", 423,
+        "72e61e28367b90799629ea321880d928028026612bc9be11941fb763bf7b2e11"),
+    "class_u_probe": (
+        lambda: check_class_u(p_laplace(4), class_u_constant(1.0, 0.5), small_cfg()),
+        "class_u.violation", 0,
+        "c01a6c58b3ba62a983385c98241fe828ef648038f449986fc0f4553a83c7aeb1"),
+    "class_u_stepped": (
+        lambda: check_class_u(stepped_trace(), class_u_constant(0.01),
+                              SampleConfig(seed=5, trials=5000, dim=3)),
+        "class_u.violation", 93,
+        "49887c27c3bc9eefb1b0108780be2966f82421daff9be758c0213c355786123f"),
+    "class_m_condition1": (_cond1_case, "class_m.condition1", None,
+        "35b6f34ba9c8c05ee8e1fe20c439682864d6e8de3c0b3b8e73fc6d14aa1088b6"),
+    "class_m_condition2": (_cond2_case, "class_m.condition2", None,
+        "fc3a0d12b7256b72d252805ea1d6a13328bd3ddc33f38a5b299100c60ed027e0"),
+    "class_m_condition3": (_cond3_case, "class_m.condition3", None,
+        "8171dbfa6e610b2bb837c1e60dea1151e518846b0c254f294f09754c3f0c8638"),
+    "class_m_condition4_redraw": (
+        lambda: check_class_m(*bumped_pair(), SampleConfig(seed=3, trials=2000, dim=3)),
+        "class_m.condition4", 2,
+        "0faa790b2c8d5824dc252286e83fc7c83a14fb0766df9e75b3931e35dc8427f5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATION_GOLDEN))
+def test_violation_golden(case):
+    run, kind, index, digest = VIOLATION_GOLDEN[case]
+    cert = run()
+    assert isinstance(cert, Certificate)
+    assert (cert.kind, cert.trial_index) == (kind, index)
+    canonical = json.dumps(cert.to_json_obj(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+    cert.reverify()
