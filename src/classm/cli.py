@@ -8,7 +8,8 @@ with --json, so identical seeds give byte-identical output.
 Exit codes: 0 when the outcome matches the expectation (--expect defaults to
 pass for checks and bounds, fail for counterexamples), 1 when it does not,
 2 on usage or input errors. The environment variable ELLIPTIC_TOL overrides
-the default Loewner tolerance everywhere.
+the default Loewner tolerance (1e-9) wherever a tolerance is not given
+explicitly; no command here relies on that default.
 """
 
 from __future__ import annotations
@@ -39,22 +40,23 @@ from .falsify import (
     check_degenerate_ellipticity,
     counterexample,
 )
-from .operators import JetPoint, OperatorDescriptor, catalog, operator_from_json
+from .operators import JetPoint, OperatorDescriptor, catalog, operator_from_json, unit_jet
 from .symmat import (
     SymmetricMatrix,
     matrix_from_json_obj,
     matrix_to_json_obj,
-    operator_norm,
     parse_matrix_text,
 )
 from .sums import (
+    EQ1_TOL,
     EpsilonSchedule,
+    _eq1_margins,
     extract_limit,
     generate_admissible,
     hessian_blocks,
     lemma_upper_bound,
     quadratic_doubling,
-    verify_eq1,
+    verify_conclusion,
 )
 from .witnesses import (
     auto_witness_pair,
@@ -64,7 +66,7 @@ from .witnesses import (
 )
 
 _INPUT_ERRORS = (BadParams, BadArgument, InvalidMatrix, DimMismatch, OutOfDomain,
-                 SamplingExhausted, json.JSONDecodeError)
+                 SamplingExhausted, NotInClassM, json.JSONDecodeError)
 
 
 def _parse_operator(text: str) -> OperatorDescriptor:
@@ -74,7 +76,10 @@ def _parse_operator(text: str) -> OperatorDescriptor:
 def _parse_matrix(text: str) -> SymmetricMatrix:
     """Inline JSON, or @path to a file in the text or JSON matrix format."""
     if text.startswith("@"):
-        content = Path(text[1:]).read_text()
+        try:
+            content = Path(text[1:]).read_text()
+        except (OSError, ValueError) as exc:
+            raise InvalidMatrix(f"cannot read matrix file {text[1:]!r}: {exc}") from exc
         if content.lstrip().startswith("{"):
             return matrix_from_json_obj(json.loads(content))
         return parse_matrix_text(content)
@@ -82,17 +87,16 @@ def _parse_matrix(text: str) -> SymmetricMatrix:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    vec = np.asarray(json.loads(text), dtype=float)
-    if vec.ndim != 1:
+    obj = json.loads(text)
+    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) for v in obj):
         raise BadParams(f"expected a JSON list of numbers, got {text!r}")
-    return vec
+    return np.asarray(obj, dtype=float)
 
 
 def _default_jets(dim: int, nu_text: str | None):
-    nu = _parse_vector(nu_text) if nu_text else None
-    if nu is None:
-        nu = np.zeros(dim)
-        nu[0] = 1.0
+    if dim < 1:
+        raise BadParams(f"dim must be >= 1, got {dim}")
+    nu = _parse_vector(nu_text) if nu_text else unit_jet(dim).nu
     if nu.shape != (dim,):
         raise BadParams(f"nu must have length {dim}")
     omega = JetPoint(np.zeros(dim), 0.0, nu)
@@ -100,18 +104,19 @@ def _default_jets(dim: int, nu_text: str | None):
 
 
 def _emit(obj: dict, args) -> None:
-    if args.json:
-        text = json.dumps(obj, indent=2, sort_keys=True)
-        print(text)
-        if getattr(args, "output", None):
-            Path(args.output).write_text(text + "\n")
-        return
-    _emit_human(obj)
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if getattr(args, "output", None):
-        Path(args.output).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as exc:
+            raise BadArgument(f"cannot write --output file: {exc}") from exc
+    if args.json:
+        print(text)
+    else:
+        _emit_human(obj, text)
 
 
-def _emit_human(obj: dict) -> None:
+def _emit_human(obj: dict, text: str) -> None:
     kind = obj.get("type")
     if kind == "pass_report":
         print(f"PASS  {obj['kind']}  trials={obj['trials']} probes={obj['probes']} "
@@ -134,14 +139,13 @@ def _emit_human(obj: dict) -> None:
               f"upper_block_ok={rep['upper_block_ok']} "
               f"implications_ok={rep['details']['implications_ok']}")
     else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(text)
 
 
 def _finish(obj: dict, outcome: str, args) -> int:
     """outcome is 'pass' or 'violation'; exit 0 iff it matches --expect."""
     _emit(obj, args)
-    expected = args.expect
-    return 0 if ((outcome == "pass") == (expected == "pass")) else 1
+    return 0 if (outcome == "pass") == (args.expect == "pass") else 1
 
 
 def _add_common(sub, default_expect: str = "pass"):
@@ -249,21 +253,21 @@ def _fallback_certificate(op: OperatorDescriptor, dim: int) -> Certificate:
     raise NotInClassM(f"no witness pair and no divergence construction for {op.name}")
 
 
-def _cmd_check_ellipticity(args) -> int:
-    op = _parse_operator(args.op)
+def _finish_check(args, check, *operands) -> int:
+    """Run a seeded checker on the sampling arguments and report its outcome."""
     cfg = SampleConfig(seed=args.seed, trials=args.trials, scale=args.scale, dim=args.dim)
-    result = check_degenerate_ellipticity(op, cfg)
+    result = check(*operands, cfg)
     outcome = "pass" if isinstance(result, PassReport) else "violation"
     return _finish(result.to_json_obj(), outcome, args)
+
+
+def _cmd_check_ellipticity(args) -> int:
+    return _finish_check(args, check_degenerate_ellipticity, _parse_operator(args.op))
 
 
 def _cmd_check_class_u(args) -> int:
     op = _parse_operator(args.op)
-    w = class_u_constant(args.lam, args.hconst)
-    cfg = SampleConfig(seed=args.seed, trials=args.trials, scale=args.scale, dim=args.dim)
-    result = check_class_u(op, w, cfg)
-    outcome = "pass" if isinstance(result, PassReport) else "violation"
-    return _finish(result.to_json_obj(), outcome, args)
+    return _finish_check(args, check_class_u, op, class_u_constant(args.lam, args.hconst))
 
 
 def _cmd_check_class_m(args) -> int:
@@ -274,10 +278,7 @@ def _cmd_check_class_m(args) -> int:
     except NotInClassM:
         cert = _fallback_certificate(op, args.dim)
         return _finish(cert.to_json_obj(), "violation", args)
-    cfg = SampleConfig(seed=args.seed, trials=args.trials, scale=args.scale, dim=args.dim)
-    result = check_class_m(op, g1, g2, cfg)
-    outcome = "pass" if isinstance(result, PassReport) else "violation"
-    return _finish(result.to_json_obj(), outcome, args)
+    return _finish_check(args, check_class_m, op, g1, g2)
 
 
 def _cmd_bounds(args) -> int:
@@ -335,25 +336,14 @@ def _cmd_sums_demo(args) -> int:
     blocks = hessian_blocks(tf)
     sched = EpsilonSchedule.geometric(args.eps0, args.ratio, args.terms)
     family = generate_admissible(blocks, sched, slack=args.slack, seed=args.seed)
-
-    amat = blocks.assemble()
-    norm_a = operator_norm(amat)
     rows = []
     for eps, (x, y) in zip(sched.values, family.pairs):
-        w = SymmetricMatrix(amat.entries + eps * (amat.entries @ amat.entries))
-        diag = np.zeros((2 * args.dim, 2 * args.dim))
-        diag[:args.dim, :args.dim] = x.entries
-        diag[args.dim:, args.dim:] = -y.entries
-        upper_margin = float(SymmetricMatrix(w.entries - diag).eigenvalues()[0])
-        floor = -(1.0 / eps + norm_a)
-        lower_margin = float(SymmetricMatrix(diag).eigenvalues()[0]) - floor
-        rows.append({"eps": eps, "eq1_ok": verify_eq1(blocks, eps, x, y),
-                     "lower_margin": lower_margin, "upper_margin": upper_margin})
+        lower, upper = _eq1_margins(blocks, eps, x, y)
+        rows.append({"eps": eps, "eq1_ok": min(lower, upper) >= -EQ1_TOL,
+                     "lower_margin": lower, "upper_margin": upper})
 
     lemma = lemma_upper_bound(blocks, args.eps0, family)
     limits = extract_limit(family)
-    from .sums import verify_conclusion
-
     report = verify_conclusion(op, (g1, g2), tf, family, limits)
     ok = (isinstance(lemma, PassReport) and report.upper_block_ok
           and report.details["implications_ok"] and all(r["eq1_ok"] for r in rows)
@@ -400,9 +390,6 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotInClassM as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:

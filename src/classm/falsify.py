@@ -192,6 +192,35 @@ def _ones_tail(n: int, c: float) -> SymmetricMatrix:
     return SymmetricMatrix.diagonal([1.0] * (n - 1) + [c])
 
 
+def _first_violation(cfg: SampleConfig, probes, stages) -> Optional[Certificate]:
+    """The first Certificate from ``probes`` (lazy outcomes), then from random trials.
+
+    Trial ``idx`` has its own stream and runs each stage ``(draw, check,
+    exhausted)`` in turn: ``draw(rng, carried)`` is retried until it returns a
+    case, at most RESAMPLE_CAP times, then ``check(case, idx)`` runs.
+    ``carried`` is the previous stage's case, on the first attempt only.
+    """
+    for cert in probes:
+        if cert is not None:
+            return cert
+    for idx in range(cfg.trials):
+        rng = _rng(cfg.seed, _PHASE_TRIALS, idx)
+        carried = None
+        for draw, check, exhausted in stages:
+            for _attempt in range(RESAMPLE_CAP):
+                case = draw(rng, carried)
+                if case is not None:
+                    break
+                carried = None
+            else:
+                raise SamplingExhausted(exhausted)
+            cert = check(case, idx)
+            if cert is not None:
+                return cert
+            carried = case
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Degenerate ellipticity
 # ---------------------------------------------------------------------------
@@ -203,21 +232,17 @@ def check_degenerate_ellipticity(op: OperatorDescriptor, cfg: SampleConfig):
     index) violation beyond VIOLATION_MARGIN. Domain-violating draws are
     redrawn, up to RESAMPLE_CAP attempts per trial.
     """
-    for idx in range(cfg.trials):
-        rng = _rng(cfg.seed, _PHASE_TRIALS, idx)
-        for _attempt in range(RESAMPLE_CAP):
-            omega = _jet_draw(rng, cfg.dim, cfg.scale)
-            x = _sym_draw(rng, cfg.dim, cfg.scale)
-            if not op.in_domain(omega, x):
-                continue
-            y = SymmetricMatrix(x.entries + _psd_draw(rng, cfg.dim, cfg.scale))
-            if not op.in_domain(omega, y):
-                continue
-            break
-        else:
-            raise SamplingExhausted(
-                f"{op.name}: no admissible (omega, X, Y) in {RESAMPLE_CAP} draws"
-            )
+
+    def draw(rng, _carried):
+        omega = _jet_draw(rng, cfg.dim, cfg.scale)
+        x = _sym_draw(rng, cfg.dim, cfg.scale)
+        if not op.in_domain(omega, x):
+            return None
+        y = SymmetricMatrix(x.entries + _psd_draw(rng, cfg.dim, cfg.scale))
+        return (omega, x, y) if op.in_domain(omega, y) else None
+
+    def check(case, idx):
+        omega, x, y = case
         fx = op.evaluate(omega, x)
         fy = op.evaluate(omega, y)
         if fx < fy - VIOLATION_MARGIN:
@@ -231,7 +256,10 @@ def check_degenerate_ellipticity(op: OperatorDescriptor, cfg: SampleConfig):
                             "degenerate ellipticity requires F(omega, X) >= F(omega, Y)",
                 recheck=lambda: op.evaluate(omega, y) - op.evaluate(omega, x),
             )
-    return PassReport(
+        return None
+
+    exhausted = f"{op.name}: no admissible (omega, X, Y) in {RESAMPLE_CAP} draws"
+    return _first_violation(cfg, (), [(draw, check, exhausted)]) or PassReport(
         kind="degenerate_ellipticity", trials=cfg.trials, probes=0,
         config=cfg.to_json_obj(), details={"operator": op.name},
     )
@@ -278,8 +306,10 @@ def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
     Certificate.
     """
     probes = _class_u_probes(cfg)
+    base = len(probes)
 
-    def run_one(omega, b, m, index):
+    def run_one(case, index):
+        omega, b, m = case
         if not (op.in_domain(omega, b) and op.in_domain(omega, m)):
             return None
         lhs = op.evaluate(omega, b) - op.evaluate(omega, m)
@@ -299,26 +329,16 @@ def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
             )
         return None
 
-    for index, (omega, b, m) in enumerate(probes):
-        cert = run_one(omega, b, m, index)
-        if cert is not None:
-            return cert
+    def draw(rng, _carried):
+        omega = _jet_draw(rng, cfg.dim, cfg.scale)
+        m = _sym_draw(rng, cfg.dim, cfg.scale)
+        b = SymmetricMatrix(m.entries - _psd_draw(rng, cfg.dim, cfg.scale))
+        return (omega, b, m) if op.in_domain(omega, b) and op.in_domain(omega, m) else None
 
-    base = len(probes)
-    for idx in range(cfg.trials):
-        rng = _rng(cfg.seed, _PHASE_TRIALS, idx)
-        for _attempt in range(RESAMPLE_CAP):
-            omega = _jet_draw(rng, cfg.dim, cfg.scale)
-            m = _sym_draw(rng, cfg.dim, cfg.scale)
-            b = SymmetricMatrix(m.entries - _psd_draw(rng, cfg.dim, cfg.scale))
-            if op.in_domain(omega, b) and op.in_domain(omega, m):
-                break
-        else:
-            raise SamplingExhausted(f"{op.name}: no admissible (B, M) in {RESAMPLE_CAP} draws")
-        cert = run_one(omega, b, m, base + idx)
-        if cert is not None:
-            return cert
-    return PassReport(
+    trial = (draw, lambda case, idx: run_one(case, base + idx),
+             f"{op.name}: no admissible (B, M) in {RESAMPLE_CAP} draws")
+    probe_outcomes = (run_one(case, index) for index, case in enumerate(probes))
+    return _first_violation(cfg, probe_outcomes, [trial]) or PassReport(
         kind="class_u", trials=cfg.trials, probes=base,
         config=cfg.to_json_obj(),
         details={"operator": op.name, "witness": w.name},
@@ -433,7 +453,8 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                         - 0.75 * abs(g.inv_at_zero(coarse) - g.inv_at_zero(m)),
                 )
 
-    def cond3_check(x, m, index):
+    def cond3_check(case, index):
+        x, m = case
         if not (_in_domain_s(g1, m) and op.in_domain(omega1, x)):
             return None
         lhs = -op.evaluate(omega1, x)
@@ -452,7 +473,8 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
             )
         return None
 
-    def cond4_check(y, m, index):
+    def cond4_check(case, index):
+        y, m = case
         if not (_in_domain_s(g2, m) and op.in_domain(omega2, y)):
             return None
         lhs = -op.evaluate(omega2, y)
@@ -473,49 +495,36 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
 
     # Deterministic divergence ladder: lambda_1(X) walks to -infinity along
     # fixed constructions while each pair stays ordered (X <= M exactly).
-    identity = SymmetricMatrix.identity(n)
-    zero = SymmetricMatrix.zero(n)
-    for j in _LADDER_EXPONENTS:
-        c = 2.0 ** j
-        ladder = [(SymmetricMatrix(-c * np.eye(n)), zero)]
-        if n >= 2:
-            ladder.append((_spike_low(n, -c), identity))
-            ladder.append((_double_spike(n, c), identity))
-            ladder.append((_ones_tail(n, -c), identity))
-        for x, m in ladder:
-            probe_count += 1
-            cert = cond3_check(x, m, None)
-            if cert is not None:
-                return cert
-            cert = cond4_check(x.negated(), m, None)
-            if cert is not None:
-                return cert
+    def ladder():
+        nonlocal probe_count
+        identity = SymmetricMatrix.identity(n)
+        zero = SymmetricMatrix.zero(n)
+        for j in _LADDER_EXPONENTS:
+            c = 2.0 ** j
+            rung = [(SymmetricMatrix(-c * np.eye(n)), zero)]
+            if n >= 2:
+                rung.append((_spike_low(n, -c), identity))
+                rung.append((_double_spike(n, c), identity))
+                rung.append((_ones_tail(n, -c), identity))
+            for x, m in rung:
+                probe_count += 1
+                yield cond3_check((x, m), None)
+                yield cond4_check((x.negated(), m), None)
 
-    # Random ordered pairs for conditions 3 and 4.
-    for idx in range(cfg.trials):
-        rng = _rng(cfg.seed, _PHASE_TRIALS, idx)
-        for _attempt in range(RESAMPLE_CAP):
-            m = _sym_draw(rng, n, cfg.scale)
-            x = SymmetricMatrix(m.entries - _psd_draw(rng, n, cfg.scale))
-            if _in_domain_s(g1, m) and op.in_domain(omega1, x):
-                break
-        else:
-            raise SamplingExhausted("no admissible (X, M) pair for condition 3")
-        cert = cond3_check(x, m, idx)
-        if cert is not None:
-            return cert
-        for _attempt in range(RESAMPLE_CAP):
-            y = SymmetricMatrix(_psd_draw(rng, n, cfg.scale) - m.entries)
-            if _in_domain_s(g2, m) and op.in_domain(omega2, y):
-                break
-            m = _sym_draw(rng, n, cfg.scale)
-        else:
-            raise SamplingExhausted("no admissible (Y, M) pair for condition 4")
-        cert = cond4_check(y, m, idx)
-        if cert is not None:
-            return cert
+    # Random ordered pairs: X <= M, then -M <= Y with M redrawn outside g2's domain.
+    def draw3(rng, _carried):
+        m = _sym_draw(rng, n, cfg.scale)
+        x = SymmetricMatrix(m.entries - _psd_draw(rng, n, cfg.scale))
+        return (x, m) if _in_domain_s(g1, m) and op.in_domain(omega1, x) else None
 
-    return PassReport(
+    def draw4(rng, carried):
+        m = carried[1] if carried is not None else _sym_draw(rng, n, cfg.scale)
+        y = SymmetricMatrix(_psd_draw(rng, n, cfg.scale) - m.entries)
+        return (y, m) if _in_domain_s(g2, m) and op.in_domain(omega2, y) else None
+
+    stages = [(draw3, cond3_check, "no admissible (X, M) pair for condition 3"),
+              (draw4, cond4_check, "no admissible (Y, M) pair for condition 4")]
+    return _first_violation(cfg, ladder(), stages) or PassReport(
         kind="class_m", trials=cfg.trials, probes=probe_count,
         config=cfg.to_json_obj(),
         details={"operator": op.name, "g1": g1.name, "g2": g2.name},

@@ -232,46 +232,37 @@ def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescript
     )
 
 
-def p_laplace(p: float) -> OperatorDescriptor:
-    """F_p(nu, X) = -|nu|^(p-2) [tr X + (p-2) <X nu/|nu|, nu/|nu|>], nu != 0."""
+def _p_laplace(p: float, homogeneous: bool) -> OperatorDescriptor:
     p = float(p)
     if not p >= 1.0:
         raise BadParams(f"p must be >= 1, got {p}")
+    # |nu|^0 = 1 exactly, so the homogeneous bracket keeps its bits.
+    power = 0.0 if homogeneous else p - 2.0
+    family = "p_laplace_homog" if homogeneous else "p_laplace"
 
     def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
         nn = _grad_norm(w)
         unit = w.nu / nn
         proj = float(unit @ x_mat.entries @ unit)
-        return -(nn ** (p - 2.0)) * (x_mat.trace() + (p - 2.0) * proj)
+        return -(nn ** power) * (x_mat.trace() + (p - 2.0) * proj)
 
     return OperatorDescriptor(
-        name=f"p_laplace(p={p:g})",
-        family="p_laplace",
+        name=f"{family}(p={p:g})",
+        family=family,
         params={"p": p},
         in_domain=lambda w, x_mat: _grad_norm(w) >= GRAD_NORM_FLOOR,
         raw_evaluate=raw,
     )
+
+
+def p_laplace(p: float) -> OperatorDescriptor:
+    """F_p(nu, X) = -|nu|^(p-2) [tr X + (p-2) <X nu/|nu|, nu/|nu|>], nu != 0."""
+    return _p_laplace(p, homogeneous=False)
 
 
 def p_laplace_homog(p: float) -> OperatorDescriptor:
     """The p-Laplace bracket without its |nu|^(p-2) prefactor; nu != 0."""
-    p = float(p)
-    if not p >= 1.0:
-        raise BadParams(f"p must be >= 1, got {p}")
-
-    def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
-        nn = _grad_norm(w)
-        unit = w.nu / nn
-        proj = float(unit @ x_mat.entries @ unit)
-        return -(x_mat.trace() + (p - 2.0) * proj)
-
-    return OperatorDescriptor(
-        name=f"p_laplace_homog(p={p:g})",
-        family="p_laplace_homog",
-        params={"p": p},
-        in_domain=lambda w, x_mat: _grad_norm(w) >= GRAD_NORM_FLOOR,
-        raw_evaluate=raw,
-    )
+    return _p_laplace(p, homogeneous=True)
 
 
 def inf_laplace() -> OperatorDescriptor:
@@ -397,27 +388,33 @@ def operator_from_json(spec) -> OperatorDescriptor:
     family = spec.pop("family", None)
     if family is None:
         raise BadParams("operator spec is missing the 'family' field")
-    if family == "eig_sum":
-        hname = spec.pop("h", None)
-        if hname == "odd_root":
-            d = spec.pop("d", None)
-            if d is None:
-                raise BadParams("eig_sum with h='odd_root' needs an odd integer field 'd'")
-            h = odd_root_monotone(int(d))
-        elif hname in _MONOTONE_BY_NAME:
-            h = _MONOTONE_BY_NAME[hname]()
-        else:
-            raise BadParams(f"unknown monotone function {hname!r}; known: "
-                            f"{sorted(_MONOTONE_BY_NAME) + ['odd_root']}")
-        if spec:
-            raise BadParams(f"unexpected fields for eig_sum: {sorted(spec)}")
-        return eig_sum(h)
-    if family == "k_hessian" and "k" in spec:
-        spec["k"] = int(spec["k"])
     try:
+        if family == "eig_sum":
+            return _eig_sum_from_json(spec)
+        if family == "k_hessian" and "k" in spec:
+            spec["k"] = int(spec["k"])
         return make_operator(family, **spec)
-    except TypeError as exc:
+    except ToolkitError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise BadParams(f"bad fields for family {family!r}: {exc}") from exc
+
+
+def _eig_sum_from_json(spec: dict) -> OperatorDescriptor:
+    hname = spec.pop("h", None)
+    if hname == "odd_root":
+        d = spec.pop("d", None)
+        if d is None:
+            raise BadParams("eig_sum with h='odd_root' needs an odd integer field 'd'")
+        h = odd_root_monotone(int(d))
+    elif hname in _MONOTONE_BY_NAME:
+        h = _MONOTONE_BY_NAME[hname]()
+    else:
+        raise BadParams(f"unknown monotone function {hname!r}; known: "
+                        f"{sorted(_MONOTONE_BY_NAME) + ['odd_root']}")
+    if spec:
+        raise BadParams(f"unexpected fields for eig_sum: {sorted(spec)}")
+    return eig_sum(h)
 
 
 def catalog() -> list[dict]:

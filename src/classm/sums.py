@@ -203,6 +203,18 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule, slack: float =
     return AdmissibleFamily(A=a, schedule=sched, pairs=tuple(pairs), slack=slack, seed=seed)
 
 
+def _eq1_margins(a: BlockMatrix2N, eps: float, x: SymmetricMatrix,
+                 y: SymmetricMatrix) -> tuple[float, float]:
+    """lambda_1(diag(X, -Y)) + 1/eps + ||A|| and lambda_1(A + eps A^2 - diag(X, -Y))."""
+    n = a.dim_half
+    amat = a.assemble()
+    w = SymmetricMatrix(amat.entries + eps * (amat.entries @ amat.entries))
+    diag = block_compose(x, np.zeros((n, n)), y.negated()).assemble()
+    lower = float(diag.eigenvalues()[0]) + (1.0 / eps + operator_norm(amat))
+    upper = float(SymmetricMatrix(w.entries - diag.entries).eigenvalues()[0])
+    return lower, upper
+
+
 def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix,
                tol: float = EQ1_TOL) -> bool:
     """Recheck both sides of the two-sided inequality for one pair."""
@@ -211,11 +223,19 @@ def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMat
     n = a.dim_half
     if x.dim != n or y.dim != n:
         raise DimMismatch(f"pair dims ({x.dim}, {y.dim}) do not match blocks dim {n}")
-    amat = a.assemble()
-    w = SymmetricMatrix(amat.entries + eps * (amat.entries @ amat.entries))
-    diag = block_compose(x, np.zeros((n, n)), y.negated()).assemble()
-    floor = SymmetricMatrix(-(1.0 / eps + operator_norm(amat)) * np.eye(2 * n))
-    return loewner_leq(floor, diag, tol) and loewner_leq(diag, w, tol)
+    if tol < 0.0:
+        raise BadArgument(f"tolerance must be >= 0, got {tol}")
+    return min(_eq1_margins(a, eps, x, y)) >= -tol
+
+
+def _upper_bounds(a: BlockMatrix2N, eps0: float):
+    """(E~, D~) = (E^2 + B B^T, D^2 + B^T B) and the bounds (E + eps0 E~, D + eps0 D~)."""
+    e, b, d = a.E, a.B, a.D
+    e_tilde = SymmetricMatrix(e.entries @ e.entries + b @ b.T)
+    d_tilde = SymmetricMatrix(d.entries @ d.entries + b.T @ b)
+    return ((e_tilde, d_tilde),
+            (SymmetricMatrix(e.entries + eps0 * e_tilde.entries),
+             SymmetricMatrix(d.entries + eps0 * d_tilde.entries)))
 
 
 def lemma_upper_bound(a: BlockMatrix2N, eps0: float, family: AdmissibleFamily):
@@ -231,16 +251,12 @@ def lemma_upper_bound(a: BlockMatrix2N, eps0: float, family: AdmissibleFamily):
     if any(eps >= eps0 for eps in family.schedule.values):
         raise BadArgument("the family's schedule must lie inside (0, eps0)")
     n = a.dim_half
-    e, b, d = a.E, a.B, a.D
-    e_tilde = SymmetricMatrix(e.entries @ e.entries + b @ b.T)
-    d_tilde = SymmetricMatrix(d.entries @ d.entries + b.T @ b)
+    (e_tilde, d_tilde), (bound_x, bound_y) = _upper_bounds(a, eps0)
     a2 = a.assemble().entries @ a.assemble().entries
     scale = max(1.0, float(np.max(np.abs(a2))))
     if (float(np.max(np.abs(a2[:n, :n] - e_tilde.entries))) > 1e-9 * scale
             or float(np.max(np.abs(a2[n:, n:] - d_tilde.entries))) > 1e-9 * scale):
         raise ToolkitError("block identity for A^2 failed; assembly is inconsistent")
-    bound_x = SymmetricMatrix(e.entries + eps0 * e_tilde.entries)
-    bound_y = SymmetricMatrix(d.entries + eps0 * d_tilde.entries)
     for idx, (eps, (x, y)) in enumerate(zip(family.schedule.values, family.pairs)):
         neg_y = y.negated()
         for side, mat, bound in (("X", x, bound_x), ("negY", neg_y, bound_y)):
@@ -314,12 +330,8 @@ def verify_conclusion(op: OperatorDescriptor, witnesses, tf: TestFunction,
     n = a.dim_half
     if tf.dim != n:
         raise BadArgument(f"test function dim {tf.dim} does not match blocks dim {n}")
-    e, b, d = a.E, a.B, a.D
     eps0 = family.schedule.eps0
-    e_tilde = SymmetricMatrix(e.entries @ e.entries + b @ b.T)
-    d_tilde = SymmetricMatrix(d.entries @ d.entries + b.T @ b)
-    e_slack = SymmetricMatrix(e.entries + eps0 * e_tilde.entries)
-    d_slack = SymmetricMatrix(d.entries + eps0 * d_tilde.entries)
+    _, (e_slack, d_slack) = _upper_bounds(a, eps0)
 
     omega_x = g1.context if g1.context is not None else JetPoint(tf.x_hat, 0.0, tf.p)
     omega_y = g2.context if g2.context is not None else JetPoint(tf.y_hat, 0.0, tf.q)
@@ -353,7 +365,7 @@ def verify_conclusion(op: OperatorDescriptor, witnesses, tf: TestFunction,
     diag = block_compose(x_lim, np.zeros((n, n)), y_lim.negated()).assemble()
     upper_ok = loewner_leq(diag, a.assemble(), EQ1_TOL)
 
-    base = theorem_lower_bounds(g1, g2, e, d)
+    base = theorem_lower_bounds(g1, g2, a.E, a.D)
     details = dict(base.details)
     details.update({
         "block_checked": True,

@@ -186,12 +186,12 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
         q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     fro = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n)))
     thresh = _JACOBI_REL_OFF * fro
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
+    for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         off = math.sqrt(2.0 * sum(a[i][j] * a[i][j] for i in range(n) for j in range(i + 1, n)))
         if off <= thresh:
-            converged = True
             break
+        if sweep == _JACOBI_MAX_SWEEPS:
+            raise ToolkitError(f"Jacobi eigensolver failed to converge in {_JACOBI_MAX_SWEEPS} sweeps")
         for p in range(n - 1):
             ap = a[p]
             for r in range(p + 1, n):
@@ -229,11 +229,6 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
                         qir = qi[r]
                         qi[p] = c * qip - s * qir
                         qi[r] = s * qip + c * qir
-    else:
-        off = math.sqrt(2.0 * sum(a[i][j] * a[i][j] for i in range(n) for j in range(i + 1, n)))
-        converged = off <= thresh
-    if not converged:
-        raise ToolkitError(f"Jacobi eigensolver failed to converge in {_JACOBI_MAX_SWEEPS} sweeps")
     return [a[i][i] for i in range(n)], q
 
 
@@ -280,12 +275,7 @@ def elementary_symmetric(k: int, values) -> float:
     n = len(vals)
     if not isinstance(k, int) or k < 1 or k > n:
         raise BadArgument(f"k must be an integer in 1..{n}, got {k!r}")
-    e = [0] * (k + 1)
-    e[0] = 1
-    for x in vals:
-        for j in range(k, 0, -1):
-            e[j] = e[j] + x * e[j - 1]
-    return e[k]
+    return elementary_symmetric_prefix(vals, k)[-1]
 
 
 def elementary_symmetric_prefix(values, kmax: int) -> list:
@@ -429,6 +419,10 @@ def matrix_from_json_obj(obj) -> SymmetricMatrix:
     rows = obj["rows"]
     if not isinstance(n, int) or n < 1:
         raise InvalidMatrix(f"dim must be a positive integer, got {n!r}")
-    if not isinstance(rows, list) or len(rows) != n or any(len(r) != n for r in rows):
+    try:
+        entries = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidMatrix(f"rows must be an {n}x{n} nested list of numbers: {exc}") from exc
+    if entries.shape != (n, n):
         raise InvalidMatrix(f"rows must be an {n}x{n} nested list")
-    return SymmetricMatrix(np.array(rows, dtype=float))
+    return SymmetricMatrix(entries)

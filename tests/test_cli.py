@@ -70,6 +70,26 @@ class TestExitCodes:
         assert run_cli(capsys, "bounds", "--op", P3, "--E", EYE2, "--D",
                        '{"dim":2,"rows":[[1.0]]}')[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--op", P3, "--E", "@/nonexistent", "--D", EYE2],
+        ["bounds", "--op", P3, "--E", '{"dim":2,"rows":[["a",0],[0,1]]}', "--D", EYE2],
+        ["bounds", "--op", P3, "--E", '{"dim":2,"rows":[3,[0,1]]}', "--D", EYE2],
+        ["bounds", "--op", P3, "--E", EYE2, "--D", EYE2, "--nu", '["x",1]'],
+        ["check-class-m", "--op", P3, "--dim", "2", "--nu", '["x",1]'],
+        ["check-class-m", "--op", P3, "--dim", "0"],
+        ["check-ellipticity", "--op", '{"family":"k_hessian","k":"two"}', "--dim", "2"],
+        ["check-ellipticity", "--op", '{"family":"p_laplace","p":"x"}', "--dim", "2"],
+        ["check-ellipticity", "--op", '{"family":"eig_sum","h":"odd_root","d":"x"}',
+         "--dim", "2"],
+        ["check-ellipticity", "--op", '{"family":"eig_sum","h":[1]}', "--dim", "2"],
+        ["catalog", "--output", "/nonexistent/dir/report.json"],
+    ])
+    def test_malformed_input_exits_2_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_not_in_class_m_without_fallback_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sums-demo", "--alpha", "1", "--dim", "2",
                                  "--op", '{"family":"k_hessian","k":2}')
