@@ -9,7 +9,9 @@ Exit codes: 0 when the outcome matches the expectation (--expect defaults to
 pass for checks and bounds, fail for counterexamples), 1 when it does not,
 2 on usage or input errors. The environment variable ELLIPTIC_TOL overrides
 the default Loewner tolerance (1e-9) wherever a tolerance is not given
-explicitly; no command here relies on that default.
+explicitly; no command here relies on that default. Numpy's floating-point
+warnings are silenced: an overflow or invalid value leaves a non-finite
+entry, which the matrix and evaluation checks turn into one error line.
 """
 
 from __future__ import annotations
@@ -285,6 +287,8 @@ def _cmd_bounds(args) -> int:
     op = _parse_operator(args.op)
     e = _parse_matrix(args.E)
     d = _parse_matrix(args.D)
+    if d.dim != e.dim:
+        raise DimMismatch(f"--E is {e.dim}x{e.dim} but --D is {d.dim}x{d.dim}")
     omega_x, omega_y = _default_jets(e.dim, args.nu)
     if args.route == "corollary":
         lam = args.lam
@@ -385,7 +389,8 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        with np.errstate(all="ignore"):
+            return run(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -71,8 +71,9 @@ class SampleConfig:
             raise BadArgument(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.trials < 1:
             raise BadArgument(f"trials must be >= 1, got {self.trials}")
-        if not self.scale > 0.0:
-            raise BadArgument(f"scale must be > 0, got {self.scale}")
+        # draws are uniform on [-scale, scale], whose width 2 * scale must be finite
+        if not (self.scale > 0.0 and math.isfinite(2.0 * self.scale)):
+            raise BadArgument(f"scale must be > 0 with 2 * scale finite, got {self.scale}")
         if self.dim < 1:
             raise BadArgument(f"dim must be >= 1, got {self.dim}")
 
@@ -725,6 +726,8 @@ def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
 
 def _cert_bounded_h(dim: int = 3, h: MonotoneFunction | None = None,
                     steps: int = 40) -> Certificate:
+    if dim < 1:
+        raise BadParams("need dim >= 1")
     if h is None:
         h = arctan_monotone()
     below = h.bounded_below is not None

@@ -27,7 +27,13 @@ from typing import Any, Callable, Mapping, Optional
 import numpy as np
 
 from .errors import BadParams, OutOfDomain, ToolkitError
-from .symmat import GAMMA_CONE_TOL, SymmetricMatrix, elementary_symmetric, gamma_k_member
+from .symmat import (
+    GAMMA_CONE_TOL,
+    SymmetricMatrix,
+    _lambda1_at_least,
+    elementary_symmetric,
+    gamma_k_member,
+)
 
 GRAD_NORM_FLOOR = 1e-12
 
@@ -146,7 +152,10 @@ class OperatorDescriptor:
     def evaluate(self, w: JetPoint, x: SymmetricMatrix) -> float:
         if not self.in_domain(w, x):
             raise OutOfDomain(f"{self.name}: ({w!r}, matrix dim {x.dim}) is outside the domain")
-        val = float(self.raw_evaluate(w, x))
+        try:
+            val = float(self.raw_evaluate(w, x))
+        except OverflowError:  # Python float powers raise where numpy would give inf
+            val = math.inf
         if not math.isfinite(val):
             raise ToolkitError(f"{self.name}: evaluation produced a non-finite value")
         return val
@@ -172,7 +181,7 @@ def _as_constant_matrix_callback(value, what: str):
 
 
 def _check_psd_sample(mat: SymmetricMatrix, what: str):
-    if mat.eigenvalues()[0] < -1e-9:
+    if not _lambda1_at_least(mat, -1e-9):
         raise BadParams(f"{what} sample is not positive semi-definite")
 
 

@@ -39,6 +39,7 @@ from .operators import JetPoint, OperatorDescriptor
 from .symmat import (
     BlockMatrix2N,
     SymmetricMatrix,
+    _lambda1_at_least,
     block_compose,
     loewner_leq,
     operator_norm,
@@ -203,16 +204,24 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule, slack: float =
     return AdmissibleFamily(A=a, schedule=sched, pairs=tuple(pairs), slack=slack, seed=seed)
 
 
-def _eq1_margins(a: BlockMatrix2N, eps: float, x: SymmetricMatrix,
-                 y: SymmetricMatrix) -> tuple[float, float]:
-    """lambda_1(diag(X, -Y)) + 1/eps + ||A|| and lambda_1(A + eps A^2 - diag(X, -Y))."""
+def _eq1_terms(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix):
+    """(diag(X, -Y), A + eps A^2 - diag(X, -Y), 1/eps + ||A||).
+
+    The two-sided inequality holds iff lambda_1 of the first plus the third
+    and lambda_1 of the second are both >= 0.
+    """
     n = a.dim_half
     amat = a.assemble()
     w = SymmetricMatrix(amat.entries + eps * (amat.entries @ amat.entries))
     diag = block_compose(x, np.zeros((n, n)), y.negated()).assemble()
-    lower = float(diag.eigenvalues()[0]) + (1.0 / eps + operator_norm(amat))
-    upper = float(SymmetricMatrix(w.entries - diag.entries).eigenvalues()[0])
-    return lower, upper
+    return diag, SymmetricMatrix(w.entries - diag.entries), 1.0 / eps + operator_norm(amat)
+
+
+def _eq1_margins(a: BlockMatrix2N, eps: float, x: SymmetricMatrix,
+                 y: SymmetricMatrix) -> tuple[float, float]:
+    """lambda_1(diag(X, -Y)) + 1/eps + ||A|| and lambda_1(A + eps A^2 - diag(X, -Y))."""
+    diag, gap, floor = _eq1_terms(a, eps, x, y)
+    return float(diag.eigenvalues()[0]) + floor, float(gap.eigenvalues()[0])
 
 
 def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix,
@@ -225,7 +234,8 @@ def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMat
         raise DimMismatch(f"pair dims ({x.dim}, {y.dim}) do not match blocks dim {n}")
     if tol < 0.0:
         raise BadArgument(f"tolerance must be >= 0, got {tol}")
-    return min(_eq1_margins(a, eps, x, y)) >= -tol
+    diag, gap, floor = _eq1_terms(a, eps, x, y)
+    return _lambda1_at_least(diag, -tol, floor) and _lambda1_at_least(gap, -tol)
 
 
 def _upper_bounds(a: BlockMatrix2N, eps0: float):

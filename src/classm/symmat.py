@@ -5,7 +5,9 @@ deterministic cyclic Jacobi eigensolver (no LAPACK nondeterminism, no
 external solver dependency). The module provides
 
   * ``SymmetricMatrix`` / ``Spectrum`` / ``BlockMatrix2N`` value types,
-  * the Loewner partial order test ``loewner_leq``,
+  * the Loewner partial order test ``loewner_leq``, decided by a certified
+    shifted Cholesky factorisation, with the Jacobi eigenvalue deciding
+    only inside a narrow band around the bound (see ``_lambda1_at_least``),
   * the operator norm (max absolute eigenvalue),
   * elementary symmetric polynomials and the Gamma_k cone membership test,
   * 2Nx2N block assembly and extraction,
@@ -18,7 +20,9 @@ threads; every function is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import operator
 import os
+import sys
 
 import numpy as np
 
@@ -33,6 +37,32 @@ GAMMA_CONE_TOL = 1e-9
 
 _JACOBI_MAX_SWEEPS = 30
 _JACOBI_REL_OFF = 1e-12
+# Inputs whose Frobenius norm (as the sweeps compute it) lies outside this
+# range are scaled by a power of two first: beyond it the sum of squares
+# overflows, or the squares of entries near the stopping threshold
+# underflow. Scaling by 2^k is exact, so inputs inside keep their bits.
+_JACOBI_SAFE_FRO = (2.0 ** -400, 2.0 ** 400)
+
+# Half-width of the band around a lambda_1 threshold inside which
+# ``_lambda1_at_least`` defers to the Jacobi eigenvalue, relative to
+# ||M||_F + |bound| + |offset|. A "yes" outside the band is certified:
+#   * Jacobi's lambda_1 is the least diagonal entry of the rotated matrix,
+#     and a diagonal entry is never below that matrix's least eigenvalue.
+#     The rotated matrix is Q^T M Q plus rounding, so Jacobi's value is at
+#     least lambda_1(M) minus the rounding of at most 30 sweeps of at most
+#     120 rotations, about 3e-12 ||M||_F (measured against LAPACK: at most
+#     1.0e-15 ||M||_F). The stopping rule (off-diagonal Frobenius norm
+#     <= 1e-12 ||M||_F) bounds, by Weyl, how far it can sit above.
+#   * If Cholesky of M - sigma I completes with positive pivots, then
+#     lambda_1(M) > sigma - O(n u ||M - sigma I||) (Higham, Accuracy and
+#     Stability of Numerical Algorithms, ch. 10, Cholesky backward error),
+#     about 1e-13 of the scale here for n <= 16.
+# With sigma = bound - offset + band, both errors and the rounding of sigma
+# itself fit inside the band many times over, so a completed factorisation
+# implies the Jacobi comparison is True as well. A looser band (1e-9 of a
+# coarser norm) pushed every tight upper bound of the sums pipeline back to
+# Jacobi.
+_CERTIFY_BAND = 1e-10
 
 
 def default_loewner_tol() -> float:
@@ -175,9 +205,12 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
 
     Rotates (p, q) pairs in fixed row order until the off-diagonal Frobenius
     norm drops below 1e-12 times the Frobenius norm of the input, capped at
-    30 sweeps. Pure sequential scalar arithmetic keeps the result bit
-    deterministic for identical input. Returns (diagonal, vectors or None);
-    the vectors are rows of a list-of-lists whose columns are eigenvectors.
+    30 sweeps. An input too large or too small for those norms is scaled by
+    a power of two before the sweeps and the eigenvalues are scaled back, so
+    the result is right at any finite scale. Pure sequential scalar
+    arithmetic keeps the result bit deterministic for identical input.
+    Returns (diagonal, vectors or None); the vectors are rows of a
+    list-of-lists whose columns are eigenvectors.
     """
     a = [[float(v) for v in row] for row in matrix]
     n = len(a)
@@ -185,6 +218,11 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
     if want_vectors:
         q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     fro = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n)))
+    shift = 0
+    if not _JACOBI_SAFE_FRO[0] <= fro <= _JACOBI_SAFE_FRO[1]:
+        shift = math.frexp(max(abs(v) for row in a for v in row))[1]
+        a = [[math.ldexp(v, -shift) for v in row] for row in a]
+        fro = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n)))
     thresh = _JACOBI_REL_OFF * fro
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         off = math.sqrt(2.0 * sum(a[i][j] * a[i][j] for i in range(n) for j in range(i + 1, n)))
@@ -229,7 +267,11 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
                         qir = qi[r]
                         qi[p] = c * qip - s * qir
                         qi[r] = s * qip + c * qir
-    return [a[i][i] for i in range(n)], q
+    diag = [a[i][i] for i in range(n)]
+    if shift:
+        with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
+            diag = np.ldexp(diag, shift).tolist()
+    return diag, q
 
 
 def eigen_decompose(x: SymmetricMatrix) -> Spectrum:
@@ -258,8 +300,48 @@ def loewner_leq(x: SymmetricMatrix, y: SymmetricMatrix, tol: float | None = None
         tol = default_loewner_tol()
     if tol < 0.0:
         raise BadArgument(f"tolerance must be >= 0, got {tol}")
-    diff = SymmetricMatrix(y.entries - x.entries)
-    return float(diff.eigenvalues()[0]) >= -tol
+    return _lambda1_at_least(SymmetricMatrix(y.entries - x.entries), -tol)
+
+
+def _lambda1_at_least(m: SymmetricMatrix, bound: float, offset: float = 0.0) -> bool:
+    """``float(m.eigenvalues()[0]) + offset >= bound``, mostly without the eigensolve.
+
+    Cached eigenvalues decide directly. Otherwise a Cholesky factorisation
+    of m - sigma I, sigma = bound - offset + band, that completes with
+    positive pivots certifies True (see ``_CERTIFY_BAND``). Every other case,
+    including a non-finite band or sigma, falls back to the Jacobi value, so
+    a False answer always comes from the eigenvalue itself.
+    """
+    if m._evals is None and m._spectrum is None:
+        rows = m.entries.tolist()
+        scale = math.hypot(*(v for row in rows for v in row)) + abs(bound) + abs(offset)
+        band = _CERTIFY_BAND * scale
+        sigma = bound - offset + band
+        # a band below the normal range would not cover underflow in the pivots
+        if (sys.float_info.min <= band < math.inf and math.isfinite(sigma)
+                and _cholesky_positive(rows, sigma)):
+            return True
+    return float(m.eigenvalues()[0]) + offset >= bound
+
+
+def _cholesky_positive(a: list, sigma: float) -> bool:
+    """True iff Cholesky of a - sigma I on Python floats has only finite positive pivots.
+
+    Row j of the factor is built left to right and ends in its pivot's root.
+    A non-finite entry of the factor shows up in the pivot of its row, so
+    overflow anywhere makes the answer False.
+    """
+    factor = []
+    for aj in a:
+        lj = []
+        for ajk, lk in zip(aj, factor):
+            lj.append((ajk - sum(map(operator.mul, lj, lk))) / lk[-1])
+        pivot = aj[len(factor)] - sigma - sum(map(operator.mul, lj, lj))
+        if not 0.0 < pivot < math.inf:
+            return False
+        lj.append(math.sqrt(pivot))
+        factor.append(lj)
+    return True
 
 
 def elementary_symmetric(k: int, values) -> float:

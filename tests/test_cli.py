@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import warnings
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from classm.cli import main
 
@@ -83,18 +88,89 @@ class TestExitCodes:
          "--dim", "2"],
         ["check-ellipticity", "--op", '{"family":"eig_sum","h":[1]}', "--dim", "2"],
         ["catalog", "--output", "/nonexistent/dir/report.json"],
+        ["check-ellipticity", "--op", P3, "--dim", "2", "--scale", "inf"],
+        ["check-ellipticity", "--op", P3, "--dim", "2", "--scale", "1e308"],
+        ["sums-demo", "--alpha", "1e308", "--dim", "2", "--op", P3],
+        ["check-ellipticity", "--op", P3, "--dim", "2", "--scale", "1e200"],
     ])
-    def test_malformed_input_exits_2_with_one_error_line(self, capsys, argv):
+    def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert not recwarn.list
 
     def test_not_in_class_m_without_fallback_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sums-demo", "--alpha", "1", "--dim", "2",
                                  "--op", '{"family":"k_hessian","k":2}')
         assert code == 2
         assert "witness" in err
+
+
+_FLOATS = ["0", "-1", "0.5", "2", "1e-320", "1e200", "1e308", "inf", "-inf", "nan", "x"]
+_SMALL_INTS = ["-1", "0", "1", "2", "3", "x", "1e3"]  # small, so every command stays cheap
+_OPS = [P3, LIN, '{"family":"p_laplace","p":1}', '{"family":"p_laplace","p":1e308}',
+        '{"family":"linear_uniform","theta":1e308}', '{"family":"linear_uniform","theta":-1}',
+        '{"family":"k_hessian","k":2}', '{"family":"inf_laplace"}', '{"family":"inf_laplace_homog"}',
+        '{"family":"eig_sum","h":"odd_root","d":3}', '{"family":"eig_sum","h":"arctan"}',
+        '{"family":"sqrt_gradient"}', '{}']
+_MATRICES = [EYE2, '{"dim":1,"rows":[[1]]}', '{"dim":2,"rows":[[1e308,1e308],[1e308,1e308]]}',
+             '{"dim":2,"rows":[[1e200,0],[0,-1e200]]}', '{"dim":2,"rows":[[1e-320,0],[0,1]]}',
+             "@/nonexistent"]
+_NUS = ["[1,0]", "[0,0]", "[1e308,1e308]", "[1]", '["x",1]']
+_SAMPLING = {"--dim": _SMALL_INTS, "--trials": _SMALL_INTS, "--scale": _FLOATS,
+             "--seed": ["-1", "0", "3", "x", "18446744073709551616"]}
+# command -> (flags always given, flags sometimes given), each with its candidate values
+_COMMANDS = {
+    "catalog": ({}, {}),
+    "check-ellipticity": ({"--op": _OPS, "--dim": _SMALL_INTS, "--trials": _SMALL_INTS}, _SAMPLING),
+    "check-class-u": ({"--op": _OPS, "--dim": _SMALL_INTS, "--trials": _SMALL_INTS},
+                      {**_SAMPLING, "--lam": _FLOATS, "--hconst": _FLOATS}),
+    "check-class-m": ({"--op": _OPS, "--dim": _SMALL_INTS, "--trials": _SMALL_INTS},
+                      {**_SAMPLING, "--lam": _FLOATS, "--hconst": _FLOATS, "--nu": _NUS}),
+    "bounds": ({"--op": _OPS, "--E": _MATRICES, "--D": _MATRICES},
+               {"--route": ["theorem", "corollary"], "--lam": _FLOATS, "--hconst": _FLOATS,
+                "--nu": _NUS}),
+    "counterexample": ({"--name": ["inf_laplace", "k_hessian", "p1_laplace", "power_not_u",
+                                   "p_laplace_not_u", "bounded_h"]},
+                       {"--dim": _SMALL_INTS, "--k": _SMALL_INTS, "--n": _SMALL_INTS,
+                        "--c": _FLOATS, "--p": _FLOATS, "--lam": _FLOATS, "--hconst": _FLOATS,
+                        "--d-root": _SMALL_INTS}),
+    "sums-demo": ({"--op": _OPS, "--dim": _SMALL_INTS, "--terms": _SMALL_INTS},
+                  {"--alpha": _FLOATS, "--eps0": _FLOATS, "--ratio": _FLOATS,
+                   "--slack": _FLOATS, "--lam": _FLOATS, "--hconst": _FLOATS}),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    always, sometimes = _COMMANDS[command]
+    flags = sorted(always)
+    if sometimes:
+        flags += draw(st.lists(st.sampled_from(sorted(sometimes)), unique=True, max_size=3))
+    values = {**sometimes, **always}
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(values[flag]))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argvs())
+def test_argv_fuzz_exit_codes(argv):
+    """Any argv exits 0, 1 or 2; exit 2 prints no traceback or warning and ends in error:."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code == 2:
+        lines = err.getvalue().strip().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert lines and "error:" in lines[-1], (argv, err.getvalue())
 
 
 class TestFallbackCertificates:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -24,6 +25,7 @@ from classm import (
     operator_norm,
     parse_matrix_text,
 )
+from classm.symmat import _lambda1_at_least
 from conftest import brute_sk, eig2_oracle, random_orthogonal, random_symmetric
 
 
@@ -110,6 +112,60 @@ class TestEigen:
         for col in range(2):
             pivot = np.argmax(np.abs(s.eigenvectors[:, col]))
             assert s.eigenvectors[pivot, col] > 0
+
+
+class TestEigenAtExtremeScales:
+    """Jacobi against LAPACK where the Frobenius norm overflows or underflows."""
+
+    BASE = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1e-3], [0.0, 1e-3, 5.0]])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_repro_matches_lapack(self, scale):
+        x = SymmetricMatrix(scale * self.BASE)
+        ref = np.linalg.eigvalsh(x.entries)
+        assert np.max(np.abs(x.eigenvalues() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_overflowing_indefinite_matrix_is_not_psd(self):
+        assert not loewner_leq(SymmetricMatrix.zero(2),
+                               SymmetricMatrix([[0.0, 1e200], [1e200, 0.0]]), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+           exponent=st.integers(-1000, 1000), clustered=st.booleans())
+    def test_differential_against_lapack(self, seed, n, exponent, clustered):
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(-1.0, 1.0, n)
+        if clustered:
+            lam = np.round(lam, 1)
+        q = random_orthogonal(rng, n)
+        x = SymmetricMatrix(np.ldexp(q @ np.diag(lam) @ q.T, exponent))
+        ref = np.linalg.eigvalsh(x.entries)
+        assert np.max(np.abs(x.eigenvalues() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestLambda1Decision:
+    """The certified threshold test must answer exactly as the Jacobi comparison."""
+
+    def test_matches_jacobi_near_the_bound(self):
+        rng = np.random.default_rng(7)
+        certified = 0
+        for n, scale, offset, bound, rel, sign in itertools.product(
+                (1, 2, 3, 4, 6, 8, 12, 16), (1e-6, 1e-3, 1.0, 1e3, 1e6), (0.0, 1.5, -0.75),
+                (0.0, -1e-8), (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3), (1.0, -1.0)):
+            # spectrum mu + c with lambda_1 = c placed rel * ||M||_F from bound - offset
+            mu = np.sort(scale * rng.uniform(0.0, 1.0, n))
+            mu -= mu[0]
+            c = bound - offset
+            c += sign * rel * np.linalg.norm(mu + c)
+            q = random_orthogonal(rng, n)
+            entries = q @ np.diag(mu + c) @ q.T
+            m = SymmetricMatrix(entries)
+            got = _lambda1_at_least(m, bound, offset)
+            if got and m._evals is None:
+                certified += 1
+            ref = float(SymmetricMatrix(entries).eigenvalues()[0])
+            assert got == (ref + offset >= bound), (n, scale, offset, bound, rel, sign)
+        assert certified > 0
 
 
 class TestOperatorNorm:
