@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -166,6 +167,68 @@ class TestLambda1Decision:
             ref = float(SymmetricMatrix(entries).eigenvalues()[0])
             assert got == (ref + offset >= bound), (n, scale, offset, bound, rel, sign)
         assert certified > 0
+
+
+def _kernel_golden_inputs(kind):
+    """Seeded raw arrays at N = 1..16 for one golden case kind."""
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 17):
+        raw = rng.uniform(-1.0, 1.0, (n, n))
+        dense = (raw + raw.T) / 2.0
+        if kind == "dense":
+            yield dense
+        elif kind == "diagonal":
+            yield np.diag(np.diag(dense))
+        elif kind == "zero":
+            yield np.zeros((n, n))
+        elif kind == "scaled_up":
+            yield np.ldexp(dense, 500)
+        elif kind == "scaled_down":
+            yield np.ldexp(dense, -500)
+        elif kind == "asymmetric":
+            yield dense + 1e-12 * rng.uniform(-1.0, 1.0, (n, n))
+        elif kind == "signed_zeros":
+            mixed = dense.copy()
+            mixed[np.triu_indices(n, 1)] = 0.0
+            mixed[np.tril_indices(n, -1)] = -0.0
+            mixed[n - 1, 0] = 0.5
+            mixed[0, n - 1] = 0.5
+            yield mixed
+
+
+# sha256 over the stored entries, ``eigenvalues()`` and ``spectrum()`` of
+# every input of a kind. A change to construction, to the Jacobi rotation
+# order or arithmetic, or to the spectrum's ordering and sign convention
+# moves these.
+KERNEL_GOLDEN = {
+    "asymmetric":
+        "18ce1952169de9413470706f4a1df1b9db09f4c1327192610cc92555e1c5b5b9",
+    "dense":
+        "e2395b2a1aaf4a8068cfeec8b3ecdcbfd57737a80a0395098ca4ef093cf9c08c",
+    "diagonal":
+        "992ae67330a68201a462cbdab67465cf7b0dc8df2ec63dbf5f9fb7cb84760843",
+    "scaled_down":
+        "8ffee280cf91d7d756674bca34f8d151e5bfe15ca54bb0cd44548385b5e79d50",
+    "scaled_up":
+        "3ac6ab9103b30bbbc1c941249d15301b5bcadfbc1612b04a3033f4415a693947",
+    "signed_zeros":
+        "2734d48a3113237e497fccf417540859cdbfaee8d6798867ad3225e21f6b3bc2",
+    "zero":
+        "d25343bd8ae957dfba6b5a5d038c688b1eb144ab2027f4cd62acce0c63f51935",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_GOLDEN))
+def test_kernel_golden(kind):
+    digest = hashlib.sha256()
+    for raw in _kernel_golden_inputs(kind):
+        m = SymmetricMatrix(raw)
+        digest.update(m.entries.tobytes())
+        digest.update(m.eigenvalues().tobytes())
+        s = SymmetricMatrix(raw).spectrum()
+        digest.update(s.eigenvalues.tobytes())
+        digest.update(s.eigenvectors.tobytes())
+    assert digest.hexdigest() == KERNEL_GOLDEN[kind]
 
 
 class TestOperatorNorm:
