@@ -13,6 +13,7 @@ from .errors import (
     DimMismatch,
     InvalidMatrix,
     NonConvergent,
+    NonFiniteValue,
     NotInClassM,
     OutOfDomain,
     SamplingExhausted,

@@ -28,6 +28,7 @@ from .errors import (
     BadParams,
     DimMismatch,
     InvalidMatrix,
+    NonFiniteValue,
     NotInClassM,
     OutOfDomain,
     SamplingExhausted,
@@ -68,7 +69,7 @@ from .witnesses import (
 )
 
 _INPUT_ERRORS = (BadParams, BadArgument, InvalidMatrix, DimMismatch, OutOfDomain,
-                 SamplingExhausted, NotInClassM, json.JSONDecodeError)
+                 NonFiniteValue, SamplingExhausted, NotInClassM, json.JSONDecodeError)
 
 
 def _parse_operator(text: str) -> OperatorDescriptor:
@@ -304,28 +305,20 @@ def _cmd_bounds(args) -> int:
     return _finish(report.to_json_obj(), "pass", args)
 
 
+# counterexample parameter, its CLI attribute, and the names that take it (None: all)
+_COUNTEREXAMPLE_PARAMS = (
+    ("dim", "dim", None), ("k", "k", ("k_hessian",)), ("n", "n", ("k_hessian",)),
+    ("c", "c", ("inf_laplace", "p1_laplace")), ("p", "p", ("p_laplace_not_u",)),
+    ("lam", "lam", ("power_not_u", "p_laplace_not_u")),
+    ("h_const", "hconst", ("power_not_u", "p_laplace_not_u")), ("d", "d_root", ("power_not_u",)),
+)
+
+
 def _cmd_counterexample(args) -> int:
-    params = {}
-    if args.dim is not None:
-        params["dim"] = args.dim
-    if args.name == "k_hessian":
-        if args.k is not None:
-            params["k"] = args.k
-        if args.n is not None:
-            params["n"] = args.n
-    if args.name in ("inf_laplace", "p1_laplace") and args.c is not None:
-        params["c"] = args.c
+    params = {param: getattr(args, attr) for param, attr, names in _COUNTEREXAMPLE_PARAMS
+              if getattr(args, attr) is not None and (names is None or args.name in names)}
     if args.name == "inf_laplace" and args.homog:
         params["homogeneous"] = True
-    if args.name == "p_laplace_not_u" and args.p is not None:
-        params["p"] = args.p
-    if args.name in ("power_not_u", "p_laplace_not_u"):
-        if args.lam is not None:
-            params["lam"] = args.lam
-        if args.hconst is not None:
-            params["h_const"] = args.hconst
-    if args.name == "power_not_u" and args.d_root is not None:
-        params["d"] = args.d_root
     cert = counterexample(args.name, **params)
     cert.reverify()
     return _finish(cert.to_json_obj(), "violation", args)

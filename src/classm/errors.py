@@ -21,6 +21,10 @@ class BadParams(ToolkitError, ValueError):
     """Operator or witness family parameters are invalid."""
 
 
+class NonFiniteValue(ToolkitError, ArithmeticError):
+    """An evaluation on finite input overflowed to a non-finite value."""
+
+
 class OutOfDomain(ToolkitError):
     """Evaluation was attempted outside an operator's or witness's domain."""
 

@@ -695,8 +695,12 @@ def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
     op = p_laplace(p)
     # |c|^(p-2) = lam/2 < lam puts nu in the flat regime; nu = c e1 then lies
     # in the nullspace of Y - X for Y supported on the last axis.
-    c = (lam / 2.0) ** (1.0 / (p - 2.0))
-    if not (math.isfinite(c) and c >= 1e-10):
+    try:  # near p = 2, c overflows or underflows; for huge p it rounds to 1
+        c = (lam / 2.0) ** (1.0 / (p - 2.0))
+        realised = c ** (p - 2.0)
+    except (OverflowError, ZeroDivisionError):
+        c = realised = math.inf
+    if not (math.isfinite(c) and c >= 1e-10 and realised < lam):
         raise BadParams(f"cannot realize |c|^(p-2) = lam/2 for p={p}, lam={lam}")
     base = unit_jet(dim)
     omega = JetPoint(base.x, base.r, base.nu * c)
@@ -708,8 +712,8 @@ def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
     x = SymmetricMatrix.zero(dim)
     lhs = op.evaluate(omega, x) - op.evaluate(omega, y)
     rhs = lam * (y.trace() - x.trace()) + h_val
-    if not lhs < rhs - VIOLATION_MARGIN:
-        raise ToolkitError("construction failed to violate the gap; should be impossible")
+    if not lhs < rhs - VIOLATION_MARGIN:  # the rounded |c|^(p-2) sits too close to lam
+        raise BadParams(f"|c|^(p-2) = {realised!r} leaves no gap for lam={lam}, H={h_val}")
     return Certificate(
         kind="class_u.violation",
         witnesses={"omega": omega, "B": x, "M": y, "lam": lam, "H_omega": h_val,

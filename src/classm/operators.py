@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import BadParams, OutOfDomain, ToolkitError
+from .errors import BadParams, NonFiniteValue, OutOfDomain, ToolkitError
 from .symmat import (
     GAMMA_CONE_TOL,
     SymmetricMatrix,
@@ -58,7 +58,7 @@ class JetPoint:
         if x.ndim != 1 or nu.ndim != 1 or x.shape != nu.shape:
             raise BadParams(f"x and nu must be vectors of equal length, got {x.shape} and {nu.shape}")
         r = float(self.r)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(nu)) and math.isfinite(r)):
+        if not all(map(math.isfinite, x.tolist() + nu.tolist() + [r])):
             raise BadParams("jet point components must be finite")
         x.setflags(write=False)
         nu.setflags(write=False)
@@ -156,8 +156,8 @@ class OperatorDescriptor:
             val = float(self.raw_evaluate(w, x))
         except OverflowError:  # Python float powers raise where numpy would give inf
             val = math.inf
-        if not math.isfinite(val):
-            raise ToolkitError(f"{self.name}: evaluation produced a non-finite value")
+        if not math.isfinite(val):  # jet points and matrices are finite, so the input overflowed
+            raise NonFiniteValue(f"{self.name}: evaluation produced a non-finite value")
         return val
 
 

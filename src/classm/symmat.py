@@ -19,6 +19,7 @@ threads; every function is a pure function of its inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -63,6 +64,24 @@ _JACOBI_SAFE_FRO = (2.0 ** -400, 2.0 ** 400)
 # coarser norm) pushed every tight upper bound of the sums pipeline back to
 # Jacobi.
 _CERTIFY_BAND = 1e-10
+
+# Half-width of the band around -tol inside which ``gamma_k_member`` defers
+# to the Jacobi eigenvalues, relative to sigma^j, sigma = N ||X||_F >= sum
+# |lambda_i|; so |S_j| <= sigma^j / j! and |tr X^i| <= sigma^i. For N <= 16,
+# u = 2^-53, in units of sigma^j:
+#   * Jacobi moves each eigenvalue by at most 4e-12 ||X||_F (rounding plus the
+#     stopping rule; see ``_CERTIFY_BAND``), so S_j by at most about 4e-12;
+#     forming S_j from the eigenvalues adds 2N u / j!, about 4e-15.
+#   * tr X^i on Python floats is off by at most (i N + N^2) u ||X||_F^i
+#     <= 2N u sigma^i. The terms of Newton's step j S_j = sum_i (-1)^(i-1)
+#     S_(j-i) tr X^i sum to at most 2.72 sigma^j, so its error eps_j obeys
+#     j eps_j <= sum_(m<j) eps_m + 2.72 (2N + 2j + 2) u, and by induction
+#     eps_j <= 1.1e-14 (1 + 1/2 + ... + 1/j) <= 4e-14.
+# Both fit in the band twenty times over. -tol +- band rounds to the same
+# side of -tol, and where it rounds to -tol itself the band is below half the
+# float spacing, so no float lies in between. A band that is not a finite
+# normal float, or a non-finite S_j, decides nothing.
+_GAMMA_BAND = 1e-10
 
 
 def default_loewner_tol() -> float:
@@ -120,16 +139,25 @@ class SymmetricMatrix:
         arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InvalidMatrix(f"expected a nonempty square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        rows = arr.tolist()
+        if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
             raise InvalidMatrix("matrix entries must be finite")
-        asym = float(np.max(np.abs(arr - arr.T)))
-        scale = float(np.max(np.abs(arr)))
-        if asym > ASYMMETRY_REL_TOL * scale:
-            raise InvalidMatrix(
-                f"asymmetry {asym:.3e} exceeds {ASYMMETRY_REL_TOL:.0e} * max|entry| = "
-                f"{ASYMMETRY_REL_TOL * scale:.3e}"
-            )
-        sym = (arr + arr.T) / 2.0
+        if arr.tobytes() == arr.T.tobytes():  # bit-identical mirrors: (a + a) / 2 == a
+            asym, sym = 0.0, arr.copy()
+        else:
+            asym = max(abs(u - v) for row, col in zip(rows, zip(*rows)) for u, v in zip(row, col))
+            scale = max(map(abs, itertools.chain.from_iterable(rows)))
+            if asym > ASYMMETRY_REL_TOL * scale:
+                raise InvalidMatrix(
+                    f"asymmetry {asym:.3e} exceeds {ASYMMETRY_REL_TOL:.0e} * max|entry| = "
+                    f"{ASYMMETRY_REL_TOL * scale:.3e}"
+                )
+            if scale <= sys.float_info.max / 2.0:
+                sym = (arr + arr.T) / 2.0
+            else:  # where a + b overflows, both are far above the subnormals and halve exactly
+                with np.errstate(over="ignore"):
+                    total = arr + arr.T
+                sym = np.where(np.isinf(total), arr * 0.5 + arr.T * 0.5, total / 2.0)
         sym.setflags(write=False)
         self.dim = int(arr.shape[0])
         self.entries = sym
@@ -212,20 +240,20 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
     Returns (diagonal, vectors or None); the vectors are rows of a
     list-of-lists whose columns are eigenvectors.
     """
-    a = [[float(v) for v in row] for row in matrix]
+    a = matrix.tolist()
     n = len(a)
     q = None
     if want_vectors:
         q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    fro = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n)))
+    fro = math.sqrt(_sum_squares(a, upper=False))
     shift = 0
     if not _JACOBI_SAFE_FRO[0] <= fro <= _JACOBI_SAFE_FRO[1]:
         shift = math.frexp(max(abs(v) for row in a for v in row))[1]
         a = [[math.ldexp(v, -shift) for v in row] for row in a]
-        fro = math.sqrt(sum(a[i][j] * a[i][j] for i in range(n) for j in range(n)))
+        fro = math.sqrt(_sum_squares(a, upper=False))
     thresh = _JACOBI_REL_OFF * fro
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
-        off = math.sqrt(2.0 * sum(a[i][j] * a[i][j] for i in range(n) for j in range(i + 1, n)))
+        off = math.sqrt(2.0 * _sum_squares(a, upper=True))
         if off <= thresh:
             break
         if sweep == _JACOBI_MAX_SWEEPS:
@@ -272,6 +300,15 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
         with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
             diag = np.ldexp(diag, shift).tolist()
     return diag, q
+
+
+def _sum_squares(a: list, upper: bool) -> float:
+    """Sum of squares of all entries (or those above the diagonal), left to right."""
+    total = 0.0
+    for i, row in enumerate(a):
+        for v in row[i + 1:] if upper else row:
+            total += v * v
+    return total
 
 
 def eigen_decompose(x: SymmetricMatrix) -> Spectrum:
@@ -385,8 +422,43 @@ def gamma_k_member(x: SymmetricMatrix, k: int, tol: float = GAMMA_CONE_TOL) -> b
         raise BadArgument(f"k must be an integer in 1..{x.dim}, got {k!r}")
     if tol < 0.0:
         raise BadArgument(f"tolerance must be >= 0, got {tol}")
+    if x._evals is None and x._spectrum is None:
+        decided = _gamma_k_certified(x.entries.tolist(), k, tol)
+        if decided is not None:
+            return decided
     sums = elementary_symmetric_prefix(x.eigenvalues().tolist(), k)
     return all(s >= -tol for s in sums)
+
+
+def _gamma_k_certified(a: list, k: int, tol: float):
+    """The Gamma_k-bar decision from the entries, or None inside the band.
+
+    S_1..S_k come from the power sums tr X^i by Newton's identities; see
+    ``_GAMMA_BAND``.
+    """
+    fro_sq = _sum_squares(a, upper=False)
+    power_sums = [sum(row[i] for i, row in enumerate(a)), fro_sq]
+    power = a  # X^(i-1), for tr X^i = <X^(i-1), X>
+    for _ in range(3, k + 1):
+        power = [[sum(map(operator.mul, prow, arow)) for arow in a] for prow in power]
+        power_sums.append(sum(map(operator.mul, itertools.chain.from_iterable(power),
+                                  itertools.chain.from_iterable(a))))
+    sigma = len(a) * math.sqrt(fro_sq)
+    size = 1.0
+    e = [1.0]
+    verdict = True
+    for j in range(1, k + 1):
+        e.append(sum((-1.0) ** (i - 1) * e[j - i] * power_sums[i - 1]
+                     for i in range(1, j + 1)) / j)
+        size *= sigma
+        band = _GAMMA_BAND * size
+        if not (sys.float_info.min <= band < math.inf and math.isfinite(e[j])):
+            verdict = None
+        elif e[j] < -tol - band:
+            return False
+        elif not e[j] > -tol + band:
+            verdict = None
+    return verdict
 
 
 class BlockMatrix2N:

@@ -92,6 +92,12 @@ class TestExitCodes:
         ["check-ellipticity", "--op", P3, "--dim", "2", "--scale", "1e308"],
         ["sums-demo", "--alpha", "1e308", "--dim", "2", "--op", P3],
         ["check-ellipticity", "--op", P3, "--dim", "2", "--scale", "1e200"],
+        ["counterexample", "--name", "p_laplace_not_u", "--p", "1e308"],
+        ["counterexample", "--name", "p_laplace_not_u", "--p", "1.999999999"],
+        ["counterexample", "--name", "p_laplace_not_u", "--p", "1e16", "--lam", "0.5",
+         "--hconst", "-5"],
+        ["bounds", "--op", LIN, "--E", '{"dim":2,"rows":[[1e308,1e308],[1e308,1e308]]}',
+         "--D", EYE2],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)

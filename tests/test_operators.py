@@ -6,6 +6,7 @@ import pytest
 from classm import (
     BadParams,
     JetPoint,
+    NonFiniteValue,
     OutOfDomain,
     SymmetricMatrix,
     arctan_monotone,
@@ -102,11 +103,39 @@ class TestFrozenValues:
         w = JetPoint([0.0, 0.0], 0.0, [4.0, 0.0])
         assert op.evaluate(w, SymmetricMatrix.diagonal([1.0, 2.0])) == -(3.0 + 2.0)
 
+    def test_overflow_is_an_input_error(self):
+        x = SymmetricMatrix(np.full((2, 2), 1e308))
+        with pytest.raises(NonFiniteValue), np.errstate(over="ignore"):
+            linear_uniform(1.0).evaluate(unit_jet(2), x)
+        with pytest.raises(NonFiniteValue):  # a Python float power that overflows
+            p_laplace(1e308).evaluate(JetPoint([0.0], 0.0, [2.0]), SymmetricMatrix([[1.0]]))
+
     def test_linear_uniform_full_formula(self):
         op = linear_uniform(1.0, sigma=np.eye(2), b=[1.0, 0.0], c=2.0)
         w = JetPoint([0.0, 0.0], 3.0, [2.0, 0.0])
         # -tr(2I * I) + b.nu + c r = -4 + 2 + 6
         assert op.evaluate(w, SymmetricMatrix.identity(2)) == 4.0
+
+
+class TestJetPoint:
+    def test_scalars_become_vectors(self):
+        w = JetPoint(1.0, 2, 3.0)
+        assert w.x.tolist() == [1.0] and w.nu.tolist() == [3.0] and w.r == 2.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_components(self, bad):
+        with pytest.raises(BadParams):
+            JetPoint([0.0, bad], 0.0, [1.0, 0.0])
+        with pytest.raises(BadParams):
+            JetPoint([0.0, 0.0], 0.0, [bad, 0.0])
+        with pytest.raises(BadParams):
+            JetPoint([0.0, 0.0], bad, [1.0, 0.0])
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(BadParams):
+            JetPoint([0.0, 0.0], 0.0, [1.0])
+        with pytest.raises(BadParams):
+            JetPoint(np.zeros((2, 2)), 0.0, np.zeros((2, 2)))
 
 
 class TestDomains:

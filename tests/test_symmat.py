@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from classm import (
     operator_norm,
     parse_matrix_text,
 )
+from classm import symmat
 from classm.symmat import _lambda1_at_least
 from conftest import brute_sk, eig2_oracle, random_orthogonal, random_symmetric
 
@@ -56,6 +58,51 @@ class TestConstruction:
         m = SymmetricMatrix.identity(3)
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+    def test_entries_are_copied(self):
+        raw = np.eye(2)
+        m = SymmetricMatrix(raw)
+        raw[0, 0] = 5.0
+        assert m.entries[0, 0] == 1.0
+
+    def test_huge_entries_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = SymmetricMatrix(np.full((2, 2), 1.7e308))
+            assert np.array_equal(m.entries, np.full((2, 2), 1.7e308))
+            raw = np.array([[1.7e308, 1.7e308], [1.7e308 * (1 - 2.0 ** -40), 5e-324]])
+            m = SymmetricMatrix(raw)
+        assert np.array_equal(m.entries, m.entries.T)
+        assert m.entries[0, 1] == 1.7e308 * 0.5 + raw[1, 0] * 0.5
+        assert m.entries[1, 1] == 5e-324
+        assert m.entries[0, 0] == 1.7e308
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           base=st.sampled_from([1e-300, 1e-3, 1.0, 1e150, 1e307, 8e307, 1.7e308]),
+           rel=st.sampled_from([0.0, 1e-10, 5e-9, 1e-8, 2e-8, 1e-6, 1.0]),
+           poison=st.sampled_from([None, np.nan, np.inf, -np.inf, 0.0, -0.0]))
+    def test_matches_the_numpy_checks(self, n, seed, base, rel, poison):
+        # the checks the constructor made with whole-array numpy reductions
+        rng = np.random.default_rng(seed)
+        raw = base * rng.uniform(-1.0, 1.0, (n, n))
+        with np.errstate(over="ignore"):
+            raw = raw * 0.5 + raw.T * 0.5 + rel * base * rng.uniform(-1.0, 1.0, (n, n))
+            if poison is not None:
+                raw[rng.integers(n), rng.integers(n)] = poison
+            finite = bool(np.all(np.isfinite(raw)))
+            asym = float(np.max(np.abs(raw - raw.T))) if finite else None
+            ok = finite and not asym > 1e-8 * float(np.max(np.abs(raw)))
+            expect = (raw + raw.T) / 2.0
+        if not ok:
+            with pytest.raises(InvalidMatrix):
+                SymmetricMatrix(raw)
+            return
+        m = SymmetricMatrix(raw)
+        assert m.asymmetry == asym
+        if np.all(np.isfinite(expect)):
+            assert m.entries.tobytes() == expect.tobytes()
+        assert np.all(np.isfinite(m.entries))
 
 
 class TestEigen:
@@ -229,6 +276,46 @@ def test_kernel_golden(kind):
         digest.update(s.eigenvalues.tobytes())
         digest.update(s.eigenvectors.tobytes())
     assert digest.hexdigest() == KERNEL_GOLDEN[kind]
+
+
+def _gamma_boundary_grid():
+    """Run gamma_k_member next to the Gamma_k boundary against the Jacobi decision.
+
+    Returns (mismatches, decisions that left the eigenvalues uncomputed).
+    """
+    rng = np.random.default_rng(11)
+    mismatches = certified = 0
+    for n, scale, tol, rel, sign in itertools.product(
+            (1, 2, 3, 4, 6, 8), (1e-3, 1.0, 1e3), (0.0, 1e-9),
+            (0.0, 1e-15, 1e-12, 1e-9, 1e-6), (1.0, -1.0)):
+        for k in range(1, n + 1):
+            # lambda_1 puts S_k at -tol + sign * rel * (n * scale)^k; the rest are positive
+            rest = list(scale * rng.uniform(0.1, 1.0, n - 1))
+            target = -tol + sign * rel * (n * scale) ** k
+            lam1 = (target - brute_sk(rest, k)) / brute_sk(rest, k - 1)
+            q = random_orthogonal(rng, n)
+            entries = q @ np.diag([lam1] + rest) @ q.T
+            m = SymmetricMatrix(entries)
+            got = gamma_k_member(m, k, tol)
+            certified += m._evals is None
+            ref = SymmetricMatrix(entries)
+            ref.eigenvalues()  # cached eigenvalues make the Jacobi path decide
+            mismatches += got != gamma_k_member(ref, k, tol)
+    return mismatches, certified
+
+
+class TestGammaDecision:
+    """The certified Gamma_k test must answer exactly as the Jacobi eigenvalues do."""
+
+    def test_matches_jacobi_near_the_boundary(self):
+        mismatches, certified = _gamma_boundary_grid()
+        assert mismatches == 0
+        assert certified > 0
+
+    def test_grid_detects_a_band_that_is_too_narrow(self, monkeypatch):
+        monkeypatch.setattr(symmat, "_GAMMA_BAND", 1e-17)
+        mismatches, _ = _gamma_boundary_grid()
+        assert mismatches > 0
 
 
 class TestOperatorNorm:
