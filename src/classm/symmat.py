@@ -4,12 +4,16 @@ Everything here is desk scale: dense storage, dimensions up to 16, and a
 deterministic cyclic Jacobi eigensolver (no LAPACK nondeterminism, no
 external solver dependency). The module provides
 
-  * ``SymmetricMatrix`` / ``Spectrum`` / ``BlockMatrix2N`` value types,
+  * ``SymmetricMatrix`` / ``Spectrum`` / ``BlockMatrix2N`` value types; a
+    matrix is checked in one pass over Python floats and stored as given
+    when it is symmetric bit for bit,
   * the Loewner partial order test ``loewner_leq``, decided by a certified
     shifted Cholesky factorisation, with the Jacobi eigenvalue deciding
     only inside a narrow band around the bound (see ``_lambda1_at_least``),
   * the operator norm (max absolute eigenvalue),
   * elementary symmetric polynomials and the Gamma_k cone membership test,
+    decided from the power sums tr X^i by Newton's identities, with the
+    Jacobi eigenvalues deciding only inside a narrow band (``_GAMMA_BAND``),
   * 2Nx2N block assembly and extraction,
   * text and JSON matrix formats that round-trip bit exactly.
 
