@@ -155,7 +155,14 @@ def _jsonable(value):
 
 
 def _rng(seed: int, phase: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, phase, index))
+    """numpy's stream for the tuple (seed, phase, index), seeded with the words numpy
+    derives from it: the little-endian 32-bit words of each integer, and [0] for 0."""
+    words = []
+    for value in (seed, phase, index):
+        words.append(value & 0xFFFFFFFF)
+        while (value := value >> 32) > 0:
+            words.append(value & 0xFFFFFFFF)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def _sym_draw(rng, n: int, scale: float) -> SymmetricMatrix:
@@ -169,12 +176,15 @@ def _psd_draw(rng, n: int, scale: float) -> np.ndarray:
 
 
 def _jet_draw(rng, n: int, scale: float) -> JetPoint:
-    x = rng.uniform(-scale, scale, n)
-    r = float(rng.uniform(-scale, scale))
-    for _ in range(64):
-        nu = rng.uniform(-scale, scale, n)
-        if float(np.linalg.norm(nu)) >= 1e-6:
-            return JetPoint(x, r, nu)
+    """x, r and nu in stream order; nu is redrawn, up to 64 draws, while |nu| < 1e-6."""
+    head = rng.uniform(-scale, scale, 2 * n + 1)  # the doubles of three draws of n, 1 and n
+    x, r, nu = head[:n], float(head[n]), head[n + 1:]
+    for attempt in range(64):
+        if attempt:
+            nu = rng.uniform(-scale, scale, n)
+        omega = JetPoint(x, r, nu)
+        if omega._nu_norm >= 1e-6:
+            return omega
     raise SamplingExhausted("could not draw a usable gradient slot")
 
 

@@ -20,6 +20,7 @@ nu = 0, so |nu| below 1e-12 is treated as zero).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
@@ -53,8 +54,8 @@ class JetPoint:
     nu: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        nu = np.atleast_1d(np.asarray(self.nu, dtype=float))
+        x = np.array(self.x, dtype=float, ndmin=1)
+        nu = np.array(self.nu, dtype=float, ndmin=1)
         if x.ndim != 1 or nu.ndim != 1 or x.shape != nu.shape:
             raise BadParams(f"x and nu must be vectors of equal length, got {x.shape} and {nu.shape}")
         r = float(self.r)
@@ -69,6 +70,10 @@ class JetPoint:
     @property
     def dim(self) -> int:
         return int(self.x.shape[0])
+
+    @functools.cached_property
+    def _nu_norm(self) -> float:
+        return float(np.linalg.norm(self.nu))
 
 
 def unit_jet(dim: int, axis: int = 0, r: float = 0.0) -> JetPoint:
@@ -166,10 +171,6 @@ def evaluate(op: OperatorDescriptor, w: JetPoint, x: SymmetricMatrix) -> float:
     return op.evaluate(w, x)
 
 
-def _grad_norm(w: JetPoint) -> float:
-    return float(np.linalg.norm(w.nu))
-
-
 def _as_constant_matrix_callback(value, what: str):
     if callable(value):
         return value, False
@@ -250,7 +251,7 @@ def _p_laplace(p: float, homogeneous: bool) -> OperatorDescriptor:
     family = "p_laplace_homog" if homogeneous else "p_laplace"
 
     def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
-        nn = _grad_norm(w)
+        nn = w._nu_norm
         unit = w.nu / nn
         proj = float(unit @ x_mat.entries @ unit)
         return -(nn ** power) * (x_mat.trace() + (p - 2.0) * proj)
@@ -259,7 +260,7 @@ def _p_laplace(p: float, homogeneous: bool) -> OperatorDescriptor:
         name=f"{family}(p={p:g})",
         family=family,
         params={"p": p},
-        in_domain=lambda w, x_mat: _grad_norm(w) >= GRAD_NORM_FLOOR,
+        in_domain=lambda w, x_mat: w._nu_norm >= GRAD_NORM_FLOOR,
         raw_evaluate=raw,
     )
 
@@ -295,7 +296,7 @@ def inf_laplace_homog() -> OperatorDescriptor:
         name="inf_laplace_homog",
         family="inf_laplace_homog",
         params={},
-        in_domain=lambda w, x_mat: _grad_norm(w) >= GRAD_NORM_FLOOR,
+        in_domain=lambda w, x_mat: w._nu_norm >= GRAD_NORM_FLOOR,
         raw_evaluate=raw,
     )
 
@@ -350,7 +351,7 @@ def sqrt_gradient() -> OperatorDescriptor:
         family="sqrt_gradient",
         params={},
         in_domain=lambda w, x_mat: True,
-        raw_evaluate=lambda w, x_mat: -x_mat.trace() - math.sqrt(_grad_norm(w)),
+        raw_evaluate=lambda w, x_mat: -x_mat.trace() - math.sqrt(w._nu_norm),
     )
 
 
@@ -390,6 +391,7 @@ def operator_from_json(spec) -> OperatorDescriptor:
       {"family": "k_hessian", "k": k}
       {"family": "eig_sum", "h": "identity" | "arctan" | "odd_root", "d": d?}
       {"family": "sqrt_gradient"}
+    k and d must be integral numbers, and no field may hold a JSON boolean.
     """
     if not isinstance(spec, dict):
         raise BadParams(f"operator spec must be a JSON object, got {type(spec).__name__}")
@@ -397,16 +399,31 @@ def operator_from_json(spec) -> OperatorDescriptor:
     family = spec.pop("family", None)
     if family is None:
         raise BadParams("operator spec is missing the 'family' field")
+    for name, value in spec.items():
+        if _has_boolean(value):
+            raise BadParams(f"field {name!r} must be a number, got a boolean")
     try:
         if family == "eig_sum":
             return _eig_sum_from_json(spec)
         if family == "k_hessian" and "k" in spec:
-            spec["k"] = int(spec["k"])
+            spec["k"] = _integer_field("k", spec["k"])
         return make_operator(family, **spec)
     except ToolkitError:
         raise
     except (TypeError, ValueError) as exc:
         raise BadParams(f"bad fields for family {family!r}: {exc}") from exc
+
+
+def _has_boolean(value) -> bool:
+    """JSON true and false are not numbers, although Python adds them as 1 and 0."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_boolean, value))
+
+
+def _integer_field(name: str, value) -> int:
+    """An integer JSON field; a float counts only when it is integral, as 2.0 is."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise BadParams(f"field {name!r} must be an integer, got {value!r}")
 
 
 def _eig_sum_from_json(spec: dict) -> OperatorDescriptor:
@@ -415,7 +432,7 @@ def _eig_sum_from_json(spec: dict) -> OperatorDescriptor:
         d = spec.pop("d", None)
         if d is None:
             raise BadParams("eig_sum with h='odd_root' needs an odd integer field 'd'")
-        h = odd_root_monotone(int(d))
+        h = odd_root_monotone(_integer_field("d", d))
     elif hname in _MONOTONE_BY_NAME:
         h = _MONOTONE_BY_NAME[hname]()
     else:

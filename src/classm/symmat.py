@@ -23,6 +23,7 @@ threads; every function is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -116,8 +117,8 @@ class Spectrum:
     __slots__ = ("eigenvalues", "eigenvectors")
 
     def __init__(self, eigenvalues, eigenvectors):
-        evals = np.asarray(eigenvalues, dtype=float)
-        evecs = np.asarray(eigenvectors, dtype=float)
+        evals = np.array(eigenvalues, dtype=float)
+        evecs = np.array(eigenvectors, dtype=float)
         evals.setflags(write=False)
         evecs.setflags(write=False)
         self.eigenvalues = evals
@@ -249,56 +250,53 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
     q = None
     if want_vectors:
         q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    fro = math.sqrt(_sum_squares(a, upper=False))
+    fro = math.sqrt(_sum_squares(a))
     shift = 0
     if not _JACOBI_SAFE_FRO[0] <= fro <= _JACOBI_SAFE_FRO[1]:
         shift = math.frexp(max(abs(v) for row in a for v in row))[1]
         a = [[math.ldexp(v, -shift) for v in row] for row in a]
-        fro = math.sqrt(_sum_squares(a, upper=False))
+        fro = math.sqrt(_sum_squares(a))
     thresh = _JACOBI_REL_OFF * fro
+    schedule = _rotation_schedule(n)
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
-        off = math.sqrt(2.0 * _sum_squares(a, upper=True))
-        if off <= thresh:
+        off_sq = 0.0  # the squares above the diagonal, in row order
+        for p, r, _ in schedule:
+            v = a[p][r]
+            off_sq += v * v
+        if math.sqrt(2.0 * off_sq) <= thresh:
             break
         if sweep == _JACOBI_MAX_SWEEPS:
             raise ToolkitError(f"Jacobi eigensolver failed to converge in {_JACOBI_MAX_SWEEPS} sweeps")
-        for p in range(n - 1):
+        for p, r, others in schedule:
             ap = a[p]
-            for r in range(p + 1, n):
-                apq = ap[r]
-                if apq == 0.0:
-                    continue
-                ar = a[r]
-                theta = (ar[r] - ap[p]) / (2.0 * apq)
-                if abs(theta) > 1e154:  # avoid theta**2 overflow; limit of the exact formula
-                    t = 0.5 / theta
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                ap[p] -= t * apq
-                ar[r] += t * apq
-                ap[r] = 0.0
-                ar[p] = 0.0
-                for i in range(n):
-                    if i == p or i == r:
-                        continue
-                    ai = a[i]
-                    aip = ai[p]
-                    air = ai[r]
-                    ai[p] = c * aip - s * air
-                    ai[r] = s * aip + c * air
-                    ap[i] = ai[p]
-                    ar[i] = ai[r]
-                if q is not None:
-                    for i in range(n):
-                        qi = q[i]
-                        qip = qi[p]
-                        qir = qi[r]
-                        qi[p] = c * qip - s * qir
-                        qi[r] = s * qip + c * qir
+            apq = ap[r]
+            if apq == 0.0:
+                continue
+            ar = a[r]
+            theta = (ar[r] - ap[p]) / (2.0 * apq)
+            if abs(theta) > 1e154:  # avoid theta**2 overflow; limit of the exact formula
+                t = 0.5 / theta
+            elif theta >= 0.0:
+                t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
+            else:
+                t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            ap[p] -= t * apq
+            ar[r] += t * apq
+            ap[r] = ar[p] = 0.0
+            for i in others:
+                ai = a[i]
+                aip = ai[p]
+                air = ai[r]
+                ai[p] = ap[i] = c * aip - s * air
+                ai[r] = ar[i] = s * aip + c * air
+            if q is not None:
+                for qi in q:
+                    qip = qi[p]
+                    qir = qi[r]
+                    qi[p] = c * qip - s * qir
+                    qi[r] = s * qip + c * qir
     diag = [a[i][i] for i in range(n)]
     if shift:
         with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
@@ -306,11 +304,18 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
     return diag, q
 
 
-def _sum_squares(a: list, upper: bool) -> float:
-    """Sum of squares of all entries (or those above the diagonal), left to right."""
+@functools.cache
+def _rotation_schedule(n: int) -> tuple:
+    """The (p, r, indices other than p and r) of one cyclic sweep, in row order."""
+    return tuple((p, r, tuple(i for i in range(n) if i != p and i != r))
+                 for p in range(n - 1) for r in range(p + 1, n))
+
+
+def _sum_squares(a: list) -> float:
+    """Sum of squares of all entries, left to right."""
     total = 0.0
-    for i, row in enumerate(a):
-        for v in row[i + 1:] if upper else row:
+    for row in a:
+        for v in row:
             total += v * v
     return total
 
@@ -440,7 +445,7 @@ def _gamma_k_certified(a: list, k: int, tol: float):
     S_1..S_k come from the power sums tr X^i by Newton's identities; see
     ``_GAMMA_BAND``.
     """
-    fro_sq = _sum_squares(a, upper=False)
+    fro_sq = _sum_squares(a)
     power_sums = [sum(row[i] for i, row in enumerate(a)), fro_sq]
     power = a  # X^(i-1), for tr X^i = <X^(i-1), X>
     for _ in range(3, k + 1):

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import BadArgument, BadParams, DimMismatch, NotInClassM, OutOfDomain, ToolkitError
 from .operators import GRAD_NORM_FLOOR, JetPoint, MonotoneFunction, OperatorDescriptor
 from .symmat import SymmetricMatrix
@@ -172,7 +170,7 @@ def witness_p_laplace(p: float, omega: JetPoint,
     p = float(p)
     if not math.isfinite(p) or p <= 1.0:
         raise NotInClassM(f"the p-Laplace operator has a witness pair iff 1 < p < inf, got p={p}")
-    nn = float(np.linalg.norm(omega.nu))
+    nn = omega._nu_norm
     if nn < GRAD_NORM_FLOOR:
         raise OutOfDomain("p-Laplace witnesses need a nonzero gradient slot")
     n = omega.dim

@@ -98,6 +98,10 @@ class TestExitCodes:
          "--hconst", "-5"],
         ["bounds", "--op", LIN, "--E", '{"dim":2,"rows":[[1e308,1e308],[1e308,1e308]]}',
          "--D", EYE2],
+        ["check-ellipticity", "--op", '{"family":"k_hessian","k":2.7}', "--dim", "3"],
+        ["check-ellipticity", "--op", '{"family":"eig_sum","h":"odd_root","d":3.9}',
+         "--dim", "2"],
+        ["check-ellipticity", "--op", '{"family":"p_laplace","p":true}', "--dim", "2"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -2,12 +2,16 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classm import (
     BadParams,
     Certificate,
     ClassMWitness,
+    JetPoint,
     OperatorDescriptor,
     PassReport,
     SampleConfig,
@@ -28,6 +32,7 @@ from classm import (
     witness_p_laplace,
 )
 from classm.errors import BadArgument
+from classm.falsify import _jet_draw, _rng
 from conftest import brute_sk
 
 
@@ -53,6 +58,54 @@ class TestSampleConfig:
             SampleConfig(seed=0, scale=0.0)
         with pytest.raises(BadArgument):
             SampleConfig(seed=0, dim=0)
+
+
+_EDGE_SEEDS = st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1))
+
+
+class TestTrialStreams:
+    """The trial streams keep the bits of numpy's tuple seeding and three-call draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.one_of(_EDGE_SEEDS, st.integers(0, 2**64 - 1)),
+           phase=st.one_of(st.sampled_from((0, 1, 2, 3)), st.integers(0, 2**64 - 1)),
+           index=st.one_of(st.integers(0, 2**16), st.integers(2**32 - 2, 2**40)))
+    def test_rng_matches_tuple_seeding(self, seed, phase, index):
+        ref = np.random.default_rng((seed, phase, index))
+        assert _rng(seed, phase, index).bit_generator.state == ref.bit_generator.state
+
+    @staticmethod
+    def _three_call_draw(rng, n, scale):
+        x = rng.uniform(-scale, scale, n)
+        r = float(rng.uniform(-scale, scale))
+        for _ in range(64):
+            nu = rng.uniform(-scale, scale, n)
+            if float(np.linalg.norm(nu)) >= 1e-6:
+                return JetPoint(x, r, nu)
+        raise SamplingExhausted("could not draw a usable gradient slot")
+
+    @pytest.mark.parametrize("n,scale", [(1, 1.0), (3, 1.0), (4, 1e3), (1, 2e-6), (2, 1e-6),
+                                         (1, 1e-7)])
+    def test_jet_draw_matches_three_calls(self, n, scale):
+        outcomes = set()
+        for seed in range(200):
+            got_rng, ref_rng = _rng(seed, 1, 0), _rng(seed, 1, 0)
+            try:
+                ref = self._three_call_draw(ref_rng, n, scale)
+            except SamplingExhausted:
+                with pytest.raises(SamplingExhausted):
+                    _jet_draw(got_rng, n, scale)
+                outcomes.add("exhausted")
+            else:
+                got = _jet_draw(got_rng, n, scale)
+                assert got.x.tobytes() == ref.x.tobytes() and got.r == ref.r
+                assert got.nu.tobytes() == ref.nu.tobytes()
+                first = _rng(seed, 1, 0).uniform(-scale, scale, 2 * n + 1)[n + 1:]
+                outcomes.add("retried" if np.linalg.norm(first) < 1e-6 else "first")
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        # a tiny scale forces the nu redraws, and at 1e-7 every draw is exhausted
+        expected = {1e-7: {"exhausted"}, 2e-6: {"first", "retried"}, 1e-6: {"first", "retried"}}
+        assert outcomes == expected.get(scale, {"first"})
 
 
 class TestEllipticity:

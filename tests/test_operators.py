@@ -131,6 +131,19 @@ class TestJetPoint:
         with pytest.raises(BadParams):
             JetPoint([0.0, 0.0], bad, [1.0, 0.0])
 
+    def test_caller_arrays_stay_writable(self):
+        x, nu = np.zeros(2), np.array([1.0, 0.0])
+        w = JetPoint(x, 0.0, nu)
+        x[0] = 1.0
+        nu[1] = 2.0
+        assert w.x.tolist() == [0.0, 0.0] and w.nu.tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError):
+            w.nu[0] = 0.0
+
+    def test_gradient_norm_is_numpy_norm(self):
+        w = JetPoint([0.0, 0.0, 0.0], 0.0, [0.1, -0.7, 0.3])
+        assert w._nu_norm == float(np.linalg.norm(w.nu))
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(BadParams):
             JetPoint([0.0, 0.0], 0.0, [1.0])
@@ -215,6 +228,21 @@ class TestJson:
             operator_from_json({"family": "eig_sum", "h": "odd_root"})
         with pytest.raises(BadParams):
             operator_from_json([1, 2, 3])
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "k_hessian", "k": 2.7},
+        {"family": "k_hessian", "k": "2"},
+        {"family": "k_hessian", "k": True},
+        {"family": "eig_sum", "h": "odd_root", "d": 3.9},
+        {"family": "p_laplace", "p": True},
+        {"family": "linear_uniform", "theta": 1.0, "b": [False, 1.0]},
+    ])
+    def test_rejects_coerced_fields(self, spec):
+        with pytest.raises(BadParams):
+            operator_from_json(spec)
+
+    def test_integral_float_is_an_integer(self):
+        assert operator_from_json({"family": "k_hessian", "k": 2.0}).name == "k_hessian(k=2)"
 
 
 class TestMonotoneFunctions:

@@ -28,8 +28,9 @@ from classm import (
     parse_matrix_text,
 )
 from classm import symmat
-from classm.symmat import _lambda1_at_least
+from classm.symmat import Spectrum, _jacobi, _lambda1_at_least
 from conftest import brute_sk, eig2_oracle, random_orthogonal, random_symmetric
+from jacobi_reference import reference_jacobi
 
 
 class TestConstruction:
@@ -162,6 +163,16 @@ class TestEigen:
             assert s.eigenvectors[pivot, col] > 0
 
 
+def test_spectrum_copies_its_inputs():
+    ev, vecs = np.array([1.0, 2.0]), np.eye(2)
+    s = Spectrum(ev, vecs)
+    ev[0] = 5.0
+    vecs[0, 0] = 3.0
+    assert s.eigenvalues.tolist() == [1.0, 2.0] and s.eigenvectors.tolist() == np.eye(2).tolist()
+    with pytest.raises(ValueError):
+        s.eigenvalues[0] = 0.0
+
+
 class TestEigenAtExtremeScales:
     """Jacobi against LAPACK where the Frobenius norm overflows or underflows."""
 
@@ -189,6 +200,24 @@ class TestEigenAtExtremeScales:
         x = SymmetricMatrix(np.ldexp(q @ np.diag(lam) @ q.T, exponent))
         ref = np.linalg.eigvalsh(x.entries)
         assert np.max(np.abs(x.eigenvalues() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+       exponent=st.sampled_from((-500, 0, 500)), sparse=st.booleans(),
+       want_vectors=st.booleans())
+def test_jacobi_matches_the_reference_loop(seed, n, exponent, sparse, want_vectors):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, (n, n))
+    if sparse:  # zero pairs take the loop's apq == 0 branch
+        raw[rng.uniform(size=(n, n)) < 0.5] = 0.0
+    entries = SymmetricMatrix(np.ldexp((raw + raw.T) / 2.0, exponent)).entries
+    diag, q = _jacobi(entries, want_vectors)
+    ref_diag, ref_q = reference_jacobi(entries, want_vectors)
+    assert np.array(diag).tobytes() == np.array(ref_diag).tobytes()
+    assert (q is None) == (ref_q is None) == (not want_vectors)
+    if want_vectors:
+        assert np.array(q).tobytes() == np.array(ref_q).tobytes()
 
 
 class TestLambda1Decision:
