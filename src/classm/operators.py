@@ -20,7 +20,6 @@ nu = 0, so |nu| below 1e-12 is treated as zero).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
@@ -66,14 +65,11 @@ class JetPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "_nu_norm", float(np.linalg.norm(nu)))
 
     @property
     def dim(self) -> int:
         return int(self.x.shape[0])
-
-    @functools.cached_property
-    def _nu_norm(self) -> float:
-        return float(np.linalg.norm(self.nu))
 
 
 def unit_jet(dim: int, axis: int = 0, r: float = 0.0) -> JetPoint:
@@ -391,7 +387,8 @@ def operator_from_json(spec) -> OperatorDescriptor:
       {"family": "k_hessian", "k": k}
       {"family": "eig_sum", "h": "identity" | "arctan" | "odd_root", "d": d?}
       {"family": "sqrt_gradient"}
-    k and d must be integral numbers, and no field may hold a JSON boolean.
+    Every field but family and h holds numbers only: no booleans, strings or
+    null. k and d must be integral.
     """
     if not isinstance(spec, dict):
         raise BadParams(f"operator spec must be a JSON object, got {type(spec).__name__}")
@@ -400,8 +397,8 @@ def operator_from_json(spec) -> OperatorDescriptor:
     if family is None:
         raise BadParams("operator spec is missing the 'family' field")
     for name, value in spec.items():
-        if _has_boolean(value):
-            raise BadParams(f"field {name!r} must be a number, got a boolean")
+        if name != "h" and not _is_number(value):
+            raise BadParams(f"field {name!r} must hold numbers only, got {value!r}")
     try:
         if family == "eig_sum":
             return _eig_sum_from_json(spec)
@@ -414,9 +411,11 @@ def operator_from_json(spec) -> OperatorDescriptor:
         raise BadParams(f"bad fields for family {family!r}: {exc}") from exc
 
 
-def _has_boolean(value) -> bool:
-    """JSON true and false are not numbers, although Python adds them as 1 and 0."""
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_boolean, value))
+def _is_number(value) -> bool:
+    """A JSON number or nested list of them; Python would coerce booleans and strings."""
+    if isinstance(value, list):
+        return all(map(_is_number, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _integer_field(name: str, value) -> int:

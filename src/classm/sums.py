@@ -193,8 +193,8 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule, slack: float =
         x = SymmetricMatrix(w11.entries - c * eye)
         neg_y = SymmetricMatrix(w22.entries - c * eye)
         floor = -(1.0 / eps + norm_a)
-        lowest = min(float(x.eigenvalues()[0]), float(neg_y.eigenvalues()[0]))
-        if lowest < floor - EQ1_TOL:
+        if not all(_lambda1_at_least(m, floor - EQ1_TOL) for m in (x, neg_y)):
+            lowest = min(float(x.eigenvalues()[0]), float(neg_y.eigenvalues()[0]))
             raise SlackTooLarge(
                 f"recentered blocks fall below the -(1/eps + ||A||) floor at eps = {eps:g} "
                 f"({lowest:g} < {floor:g}); slack = {slack:g}, eps * ||A|| = {eps * norm_a:g} "

@@ -7,9 +7,10 @@ external solver dependency). The module provides
   * ``SymmetricMatrix`` / ``Spectrum`` / ``BlockMatrix2N`` value types; a
     matrix is checked in one pass over Python floats and stored as given
     when it is symmetric bit for bit,
-  * the Loewner partial order test ``loewner_leq``, decided by a certified
-    shifted Cholesky factorisation, with the Jacobi eigenvalue deciding
-    only inside a narrow band around the bound (see ``_lambda1_at_least``),
+  * the Loewner partial order test ``loewner_leq``; like every lambda_1
+    decision it goes through Gershgorin discs, then a certified shifted
+    Cholesky factorisation, then the Jacobi eigenvalue, which decides only
+    inside a narrow band around the bound (see ``_lambda1_at_least``),
   * the operator norm (max absolute eigenvalue),
   * elementary symmetric polynomials and the Gamma_k cone membership test,
     decided from the power sums tr X^i by Newton's identities, with the
@@ -63,11 +64,15 @@ _JACOBI_SAFE_FRO = (2.0 ** -400, 2.0 ** 400)
 #     lambda_1(M) > sigma - O(n u ||M - sigma I||) (Higham, Accuracy and
 #     Stability of Numerical Algorithms, ch. 10, Cholesky backward error),
 #     about 1e-13 of the scale here for n <= 16.
-# With sigma = bound - offset + band, both errors and the rounding of sigma
-# itself fit inside the band many times over, so a completed factorisation
-# implies the Jacobi comparison is True as well. A looser band (1e-9 of a
-# coarser norm) pushed every tight upper bound of the sums pipeline back to
-# Jacobi.
+#   * Every eigenvalue of M lies in a Gershgorin disc, so lambda_1(M) >=
+#     min_i (a_ii - sum_(j != i) |a_ij|). Each disc edge is computed to within
+#     (n + 1) u ||row_i||_1 <= (n + 1) u sqrt(n) ||M||_F, about 7.5e-15 ||M||_F
+#     for n <= 16.
+# With sigma = bound - offset + band, these errors and the rounding of sigma
+# itself fit inside the band many times over, so discs above sigma or a
+# completed factorisation imply the Jacobi comparison is True as well. A
+# looser band (1e-9 of a coarser norm) pushed every tight upper bound of the
+# sums pipeline back to Jacobi.
 _CERTIFY_BAND = 1e-10
 
 # Half-width of the band around -tol inside which ``gamma_k_member`` defers
@@ -352,9 +357,10 @@ def loewner_leq(x: SymmetricMatrix, y: SymmetricMatrix, tol: float | None = None
 def _lambda1_at_least(m: SymmetricMatrix, bound: float, offset: float = 0.0) -> bool:
     """``float(m.eigenvalues()[0]) + offset >= bound``, mostly without the eigensolve.
 
-    Cached eigenvalues decide directly. Otherwise a Cholesky factorisation
-    of m - sigma I, sigma = bound - offset + band, that completes with
-    positive pivots certifies True (see ``_CERTIFY_BAND``). Every other case,
+    Cached eigenvalues decide directly. Otherwise, with sigma = bound -
+    offset + band, Gershgorin discs of m all lying above sigma, or else a
+    Cholesky factorisation of m - sigma I that completes with positive
+    pivots, certify True (see ``_CERTIFY_BAND``). Every other case,
     including a non-finite band or sigma, falls back to the Jacobi value, so
     a False answer always comes from the eigenvalue itself.
     """
@@ -365,9 +371,14 @@ def _lambda1_at_least(m: SymmetricMatrix, bound: float, offset: float = 0.0) -> 
         sigma = bound - offset + band
         # a band below the normal range would not cover underflow in the pivots
         if (sys.float_info.min <= band < math.inf and math.isfinite(sigma)
-                and _cholesky_positive(rows, sigma)):
+                and (_gershgorin_above(rows, sigma) or _cholesky_positive(rows, sigma))):
             return True
     return float(m.eigenvalues()[0]) + offset >= bound
+
+
+def _gershgorin_above(a: list, sigma: float) -> bool:
+    """True iff every disc edge a_ii - sum_(j != i) |a_ij| is above sigma; False on overflow."""
+    return all(row[i] - (sum(map(abs, row)) - abs(row[i])) > sigma for i, row in enumerate(a))
 
 
 def _cholesky_positive(a: list, sigma: float) -> bool:

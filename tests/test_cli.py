@@ -102,6 +102,9 @@ class TestExitCodes:
         ["check-ellipticity", "--op", '{"family":"eig_sum","h":"odd_root","d":3.9}',
          "--dim", "2"],
         ["check-ellipticity", "--op", '{"family":"p_laplace","p":true}', "--dim", "2"],
+        ["check-ellipticity", "--op", '{"family":"p_laplace","p":"4"}', "--dim", "2"],
+        ["check-ellipticity", "--op", '{"family":"linear_uniform","theta":"1","c":"0.5",'
+         '"b":["1","2"],"sigma":[["1","0"],["0","1"]]}', "--dim", "2"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)

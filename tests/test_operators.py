@@ -236,6 +236,9 @@ class TestJson:
         {"family": "eig_sum", "h": "odd_root", "d": 3.9},
         {"family": "p_laplace", "p": True},
         {"family": "linear_uniform", "theta": 1.0, "b": [False, 1.0]},
+        {"family": "p_laplace", "p": "4"},
+        {"family": "linear_uniform", "theta": "1", "c": "0.5", "b": ["1", "2"],
+         "sigma": [["1", "0"], ["0", "1"]]},
     ])
     def test_rejects_coerced_fields(self, spec):
         with pytest.raises(BadParams):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,12 +24,14 @@ from classm import (
     lemma_upper_bound,
     linear_uniform,
     loewner_leq,
+    operator_norm,
     p_laplace,
     quadratic_doubling,
     verify_conclusion,
     verify_eq1,
     witness_p_laplace,
 )
+from classm import sums, symmat
 from conftest import random_blocks
 
 
@@ -133,6 +137,35 @@ class TestGenerator:
         _, blocks, sched, _ = quadratic_setup()
         fam = generate_admissible(blocks, sched, seed=77)
         assert fam.seed == 77
+
+
+class TestGeneratorSolves:
+    """The floor check is certified without eigensolves; only a raise solves."""
+
+    def test_floor_check_makes_no_solves(self, monkeypatch, rng):
+        blocks = random_blocks(rng, 4)
+        sched = EpsilonSchedule.geometric(0.7, 0.5, 12)
+        shapes = []
+        jacobi = symmat._jacobi
+        monkeypatch.setattr(symmat, "_jacobi", lambda m, want_vectors: shapes.append(m.shape)
+                            or jacobi(m, want_vectors))
+        generate_admissible(blocks, sched)
+        # ||A|| once, then sigma_max(W_12) per eps
+        assert shapes == [(8, 8)] + [(4, 4)] * 12
+
+    @pytest.mark.parametrize("slack", [1e9, 7.25])
+    def test_slack_too_large_reports_the_jacobi_minimum(self, rng, slack):
+        blocks = random_blocks(rng, 4)
+        sched = EpsilonSchedule.geometric(0.7, 0.5, 12)
+        eps = sched.values[0]
+        amat = blocks.assemble().entries
+        w = amat + eps * (amat @ amat)
+        c = sums._sigma_max(w[:4, 4:]) + slack
+        lowest = min(float(SymmetricMatrix(w[:4, :4] - c * np.eye(4)).eigenvalues()[0]),
+                     float(SymmetricMatrix(w[4:, 4:] - c * np.eye(4)).eigenvalues()[0]))
+        floor = -(1.0 / eps + operator_norm(blocks.assemble()))
+        with pytest.raises(SlackTooLarge, match=re.escape(f"({lowest:g} < {floor:g})")):
+            generate_admissible(blocks, sched, slack=slack)
 
 
 class TestVerifyEq1:

@@ -244,6 +244,45 @@ class TestLambda1Decision:
             assert got == (ref + offset >= bound), (n, scale, offset, bound, rel, sign)
         assert certified > 0
 
+    def test_disc_tier_matches_jacobi_at_its_edge(self, monkeypatch):
+        cholesky_calls = []
+        cholesky = symmat._cholesky_positive
+        monkeypatch.setattr(symmat, "_cholesky_positive",
+                            lambda a, sigma: cholesky_calls.append(sigma) or cholesky(a, sigma))
+        rng = np.random.default_rng(13)
+        by_discs = 0
+        for kind, n, scale, offset, rel, sign in itertools.product(
+                ("diagonal", "dominant", "tight"), range(1, 17), (1e-6, 1e-3, 1.0, 1e3, 1e6),
+                (0.0, 1.5, -0.75), (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3), (1.0, -1.0)):
+            # The least disc edge sits at c = bound - offset +- rel * ||M||_F, bound 0.
+            # On a diagonal, and on c I + S L S with L a weighted graph Laplacian and S
+            # a sign diagonal ("tight"), lambda_1 is c; "dominant" lies above its discs.
+            mu = np.sort(scale * rng.uniform(0.0, 1.0, n))
+            mu -= mu[0]
+            off = np.zeros((n, n))
+            if kind == "dominant":
+                off = np.triu(scale * rng.uniform(-1.0, 1.0, (n, n)) / n, 1)
+                off += off.T
+            elif kind == "tight":
+                mu[:] = 0.0
+                weights = np.triu(scale * rng.uniform(0.0, 1.0, (n, n)) / n, 1)
+                signs = rng.choice((-1.0, 1.0), n)
+                off = -(weights + weights.T) * np.outer(signs, signs)
+            radius = np.abs(off).sum(axis=1)
+            c = 0.0 - offset
+            c += sign * rel * np.linalg.norm(np.diag(mu + radius + c) + off)
+            entries = np.diag(mu + radius + c) + off
+            m = SymmetricMatrix(entries)
+            calls = len(cholesky_calls)
+            got = _lambda1_at_least(m, 0.0, offset)
+            if kind != "dominant" and rel <= 1e-12:  # lambda_1 inside the band: Jacobi decides
+                assert m._evals is not None, (kind, n, scale, offset, rel, sign)
+            elif got and m._evals is None and len(cholesky_calls) == calls:
+                by_discs += 1
+            ref = float(m.eigenvalues()[0])  # the fallback's solve, or a fresh one
+            assert got == (ref + offset >= 0.0), (kind, n, scale, offset, rel, sign)
+        assert by_discs > 0
+
 
 def _kernel_golden_inputs(kind):
     """Seeded raw arrays at N = 1..16 for one golden case kind."""
