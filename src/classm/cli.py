@@ -32,6 +32,7 @@ from .errors import (
     NotInClassM,
     OutOfDomain,
     SamplingExhausted,
+    SlackTooLarge,
     ToolkitError,
 )
 from .falsify import (
@@ -68,7 +69,7 @@ from .witnesses import (
     theorem_lower_bounds,
 )
 
-_INPUT_ERRORS = (BadParams, BadArgument, InvalidMatrix, DimMismatch, OutOfDomain,
+_INPUT_ERRORS = (BadParams, BadArgument, InvalidMatrix, DimMismatch, OutOfDomain, SlackTooLarge,
                  NonFiniteValue, SamplingExhausted, NotInClassM, json.JSONDecodeError)
 
 

@@ -688,7 +688,7 @@ def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
                 recheck=lambda: (lam * (zero.trace() - x.trace()) + k_const)
                                 - (op.evaluate(omega, x) - op.evaluate(omega, zero)),
             )
-    raise ToolkitError("no violating n found below 2^120; lam may be denormal")
+    raise BadParams(f"no violating n below 2^120 for lam = {lam:g}, H = {k_const:g}")
 
 
 def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,

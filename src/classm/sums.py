@@ -176,8 +176,8 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule, slack: float =
     is the documented outcome. The construction is closed form; `seed` is
     recorded for trace provenance only.
     """
-    if slack < 0.0:
-        raise BadArgument(f"slack must be >= 0, got {slack}")
+    if not 0.0 <= slack < math.inf:
+        raise BadArgument(f"slack must be finite and >= 0, got {slack}")
     n = a.dim_half
     amat = a.assemble().entries
     a2 = amat @ amat

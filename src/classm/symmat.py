@@ -2,7 +2,9 @@
 
 Everything here is desk scale: dense storage, dimensions up to 16, and a
 deterministic cyclic Jacobi eigensolver (no LAPACK nondeterminism, no
-external solver dependency). The module provides
+external solver dependency; for N <= 8 the sweeps run as generated
+straight-line code with the loop's float operations in the loop's order). The
+module provides
 
   * ``SymmetricMatrix`` / ``Spectrum`` / ``BlockMatrix2N`` value types; a
     matrix is checked in one pass over Python floats and stored as given
@@ -49,6 +51,10 @@ _JACOBI_REL_OFF = 1e-12
 # overflows, or the squares of entries near the stopping threshold
 # underflow. Scaling by 2^k is exact, so inputs inside keep their bits.
 _JACOBI_SAFE_FRO = (2.0 ** -400, 2.0 ** 400)
+# Largest N whose sweeps run as generated straight-line code. Its source, compile
+# time and compiler memory grow like N^3: N = 8 compiles in about 8 ms and 2 MB, N = 16
+# in about 70 ms and 16 MB, which a process solving a few 16 x 16 matrices never repays.
+_JACOBI_UNROLL_MAX_N = 8
 
 # Half-width of the band around a lambda_1 threshold inside which
 # ``_lambda1_at_least`` defers to the Jacobi eigenvalue, relative to
@@ -217,13 +223,9 @@ class SymmetricMatrix:
         if self._spectrum is None:
             diag, q = _jacobi(self.entries, want_vectors=True)
             order = sorted(range(self.dim), key=diag.__getitem__)
-            evals = [diag[i] for i in order]
-            vecs = np.array([[q[i][j] for j in order] for i in range(self.dim)], dtype=float)
-            for col in range(self.dim):
-                pivot = int(np.argmax(np.abs(vecs[:, col])))
-                if vecs[pivot, col] < 0.0:
-                    vecs[:, col] = -vecs[:, col]
-            self._spectrum = Spectrum(np.array(evals, dtype=float), vecs)
+            flip = [max((row[j] for row in q), key=abs) < 0.0 for j in order]
+            vecs = [[-row[j] if f else row[j] for j, f in zip(order, flip)] for row in q]
+            self._spectrum = Spectrum([diag[j] for j in order], vecs)
         return self._spectrum
 
     def __eq__(self, other):
@@ -245,16 +247,14 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
     norm drops below 1e-12 times the Frobenius norm of the input, capped at
     30 sweeps. An input too large or too small for those norms is scaled by
     a power of two before the sweeps and the eigenvalues are scaled back, so
-    the result is right at any finite scale. Pure sequential scalar
-    arithmetic keeps the result bit deterministic for identical input.
+    the result is right at any finite scale. Up to ``_JACOBI_UNROLL_MAX_N``
+    the sweeps run in ``_jacobi_kernel``, larger N in ``_jacobi_loop``: the
+    same sequential scalar arithmetic, so the result is bit deterministic.
     Returns (diagonal, vectors or None); the vectors are rows of a
     list-of-lists whose columns are eigenvectors.
     """
     a = matrix.tolist()
     n = len(a)
-    q = None
-    if want_vectors:
-        q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     fro = math.sqrt(_sum_squares(a))
     shift = 0
     if not _JACOBI_SAFE_FRO[0] <= fro <= _JACOBI_SAFE_FRO[1]:
@@ -262,6 +262,24 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
         a = [[math.ldexp(v, -shift) for v in row] for row in a]
         fro = math.sqrt(_sum_squares(a))
     thresh = _JACOBI_REL_OFF * fro
+    if n <= _JACOBI_UNROLL_MAX_N:
+        diag, q = _jacobi_kernel(n, want_vectors)(a, thresh)
+    else:
+        diag, q = _jacobi_loop(a, thresh, want_vectors)
+    if shift:
+        with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
+            diag = np.ldexp(diag, shift).tolist()
+    return diag, q
+
+
+def _sweep_cap_error() -> ToolkitError:
+    return ToolkitError(f"Jacobi eigensolver failed to converge in {_JACOBI_MAX_SWEEPS} sweeps")
+
+
+def _jacobi_loop(a: list, thresh: float, want_vectors: bool):
+    """The sweeps of ``_jacobi`` on the rows ``a``, rotated in place."""
+    n = len(a)
+    q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
     schedule = _rotation_schedule(n)
     for sweep in range(_JACOBI_MAX_SWEEPS + 1):
         off_sq = 0.0  # the squares above the diagonal, in row order
@@ -271,7 +289,7 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
         if math.sqrt(2.0 * off_sq) <= thresh:
             break
         if sweep == _JACOBI_MAX_SWEEPS:
-            raise ToolkitError(f"Jacobi eigensolver failed to converge in {_JACOBI_MAX_SWEEPS} sweeps")
+            raise _sweep_cap_error()
         for p, r, others in schedule:
             ap = a[p]
             apq = ap[r]
@@ -302,11 +320,44 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
                     qir = qi[r]
                     qi[p] = c * qip - s * qir
                     qi[r] = s * qip + c * qir
-    diag = [a[i][i] for i in range(n)]
-    if shift:
-        with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
-            diag = np.ldexp(diag, shift).tolist()
-    return diag, q
+    return [a[i][i] for i in range(n)], q
+
+
+@functools.cache
+def _jacobi_kernel(n: int, want_vectors: bool):
+    """``_jacobi_loop`` for one N as straight-line code on locals a_i_j (i <= j) and
+    q_i_j: each rotation written out in schedule order, one tuple assignment per
+    other index, so that every float operation and its order are the loop's."""
+    a = [[f"a_{min(i, j)}_{max(i, j)}" for j in range(n)] for i in range(n)]
+    q = [[f"q_{i}_{j}" for j in range(n)] for i in range(n)] if want_vectors else []
+    off = " + ".join(["0.0"] + [f"{a[p][r]} * {a[p][r]}" for p, r, _ in _rotation_schedule(n)])
+    src = ["def jacobi_sweeps(rows, thresh):", "    sqrt = math.sqrt"]
+    src += [f"    {', '.join(['_'] * i + [a[i][j] for j in range(i, n)])}, = rows[{i}]"
+            for i in range(n)]
+    src += [f"    {', '.join(row)}, = {', '.join('1.0' if i == j else '0.0' for j in range(n))},"
+            for i, row in enumerate(q)]
+    src += ["    for sweep in range(_JACOBI_MAX_SWEEPS + 1):",
+            f"        if sqrt(2.0 * ({off})) <= thresh:", "            break",
+            "        if sweep == _JACOBI_MAX_SWEEPS:", "            raise _sweep_cap_error()"]
+    for p, r, others in _rotation_schedule(n):
+        app, arr, apr = a[p][p], a[r][r], a[p][r]
+        src += [f"        apq = {apr}", "        if apq != 0.0:",
+                f"            theta = ({arr} - {app}) / (2.0 * apq)",
+                "            if abs(theta) > 1e154:", "                t = 0.5 / theta",
+                "            elif theta >= 0.0:",
+                "                t = 1.0 / (theta + sqrt(theta * theta + 1.0))",
+                "            else:",
+                "                t = -1.0 / (-theta + sqrt(theta * theta + 1.0))",
+                "            c = 1.0 / sqrt(t * t + 1.0)", "            s = t * c",
+                f"            {app} -= t * apq", f"            {arr} += t * apq",
+                f"            {apr} = 0.0"]
+        pairs = [(a[i][p], a[i][r]) for i in others] + [(row[p], row[r]) for row in q]
+        src += [f"            {x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}" for x, y in pairs]
+    vectors = "[" + ", ".join(f"[{', '.join(row)}]" for row in q) + "]" if q else "None"
+    src.append(f"    return [{', '.join(a[i][i] for i in range(n))}], {vectors}")
+    namespace = {}
+    exec(compile("\n".join(src), f"<jacobi n={n}>", "exec"), globals(), namespace)
+    return namespace["jacobi_sweeps"]
 
 
 @functools.cache
@@ -366,7 +417,7 @@ def _lambda1_at_least(m: SymmetricMatrix, bound: float, offset: float = 0.0) -> 
     """
     if m._evals is None and m._spectrum is None:
         rows = m.entries.tolist()
-        scale = math.hypot(*(v for row in rows for v in row)) + abs(bound) + abs(offset)
+        scale = math.hypot(*itertools.chain.from_iterable(rows)) + abs(bound) + abs(offset)
         band = _CERTIFY_BAND * scale
         sigma = bound - offset + band
         # a band below the normal range would not cover underflow in the pivots
@@ -511,13 +562,9 @@ class BlockMatrix2N:
 
     def assemble(self) -> SymmetricMatrix:
         if self._assembled is None:
-            n = self.E.dim
-            full = np.zeros((2 * n, 2 * n))
-            full[:n, :n] = self.E.entries
-            full[:n, n:] = self.B
-            full[n:, :n] = self.B.T
-            full[n:, n:] = self.D.entries
-            self._assembled = SymmetricMatrix(full)
+            top = np.concatenate((self.E.entries, self.B), axis=1)
+            bottom = np.concatenate((self.B.T, self.D.entries), axis=1)
+            self._assembled = SymmetricMatrix(np.concatenate((top, bottom)))
         return self._assembled
 
     def __repr__(self):

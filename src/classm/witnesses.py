@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import BadArgument, BadParams, DimMismatch, NotInClassM, OutOfDomain, ToolkitError
+from .errors import BadArgument, BadParams, DimMismatch, NonFiniteValue, NotInClassM, OutOfDomain
 from .operators import GRAD_NORM_FLOOR, JetPoint, MonotoneFunction, OperatorDescriptor
 from .symmat import SymmetricMatrix
 
@@ -55,6 +55,8 @@ class ClassUWitness:
 def class_u_constant(lam: float, h_const: float = 0.0) -> ClassUWitness:
     """Witness with constant H; the common case (H == 0 for linear operators)."""
     h_const = float(h_const)
+    if not math.isfinite(h_const):
+        raise BadParams(f"H must be finite, got {h_const}")
     return ClassUWitness(float(lam), lambda _w: h_const,
                          name=f"class_u(lam={lam:g}, H={h_const:g})")
 
@@ -254,7 +256,7 @@ class BoundReport:
 
     def __post_init__(self):
         if not (math.isfinite(self.lower_X) and math.isfinite(self.lower_negY)):
-            raise ToolkitError("bound report scalars must be finite")
+            raise NonFiniteValue("bound report scalars must be finite")
 
     def to_json_obj(self) -> dict:
         return {

@@ -105,6 +105,18 @@ class TestExitCodes:
         ["check-ellipticity", "--op", '{"family":"p_laplace","p":"4"}', "--dim", "2"],
         ["check-ellipticity", "--op", '{"family":"linear_uniform","theta":"1","c":"0.5",'
          '"b":["1","2"],"sigma":[["1","0"],["0","1"]]}', "--dim", "2"],
+        ["sums-demo", "--alpha", "1", "--dim", "2", "--op", LIN, "--terms", "12", "--seed", "5",
+         "--slack", "1e9"],
+        ["sums-demo", "--alpha", "1", "--dim", "2", "--op", LIN, "--slack", "nan"],
+        ["sums-demo", "--alpha", "1", "--dim", "2", "--op", LIN, "--slack", "inf"],
+        ["check-class-u", "--op", LIN, "--lam", "1", "--dim", "3", "--trials", "30", "--seed", "3",
+         "--hconst", "inf", "--json"],
+        ["bounds", "--op", LIN, "--E", EYE2, "--D", EYE2, "--hconst", "inf"],
+        ["bounds", "--op", P3, "--E", '{"dim":2,"rows":[[1e308,1e308],[1e308,1e308]]}',
+         "--D", EYE2],
+        ["counterexample", "--name", "power_not_u", "--lam", "1e308"],
+        ["counterexample", "--name", "power_not_u", "--lam", "1e-320"],
+        ["counterexample", "--name", "power_not_u", "--hconst", "nan"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -172,7 +184,7 @@ def _argvs(draw):
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_argvs())
 def test_argv_fuzz_exit_codes(argv):
-    """Any argv exits 0, 1 or 2; exit 2 prints no traceback or warning and ends in error:."""
+    """Any argv exits 0, 1 or 2; exit 2 prints no traceback or warning and ends in an input error."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -183,7 +195,9 @@ def test_argv_fuzz_exit_codes(argv):
     if code == 2:
         lines = err.getvalue().strip().splitlines()
         assert "Traceback" not in err.getvalue()
-        assert lines and "error:" in lines[-1], (argv, err.getvalue())
+        last = lines[-1] if lines else ""
+        # an input fault, or argparse's usage line "classm <command>: error: ..."
+        assert last.startswith(("error:", "classm")) and "error: " in last, (argv, err.getvalue())
 
 
 class TestFallbackCertificates:

@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import traceback
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classm import (
@@ -14,6 +15,7 @@ from classm import (
     DimMismatch,
     InvalidMatrix,
     SymmetricMatrix,
+    ToolkitError,
     block_compose,
     block_extract,
     default_loewner_tol,
@@ -202,10 +204,19 @@ class TestEigenAtExtremeScales:
         assert np.max(np.abs(x.eigenvalues() - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _every_n_both_modes(test):
+    """One pinned example per N in 1..16 and mode, so each N runs its own Jacobi path."""
+    for n, want_vectors in itertools.product(range(1, 17), (False, True)):
+        test = example(seed=n, n=n, exponent=(-500, 0, 500)[n % 3], sparse=n % 2 == 0,
+                       want_vectors=want_vectors)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
        exponent=st.sampled_from((-500, 0, 500)), sparse=st.booleans(),
        want_vectors=st.booleans())
+@_every_n_both_modes
 def test_jacobi_matches_the_reference_loop(seed, n, exponent, sparse, want_vectors):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1.0, 1.0, (n, n))
@@ -218,6 +229,21 @@ def test_jacobi_matches_the_reference_loop(seed, n, exponent, sparse, want_vecto
     assert (q is None) == (ref_q is None) == (not want_vectors)
     if want_vectors:
         assert np.array(q).tobytes() == np.array(ref_q).tobytes()
+
+
+@pytest.mark.parametrize("n", [symmat._JACOBI_UNROLL_MAX_N, symmat._JACOBI_UNROLL_MAX_N + 4])
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_sweep_cap_raises_the_same_error_on_both_paths(monkeypatch, n, want_vectors):
+    """The generated kernel (N <= the cap) and the loop (N above it) stop alike."""
+    rng = np.random.default_rng(n)
+    raw = rng.uniform(-1.0, 1.0, (n, n))
+    entries = SymmetricMatrix((raw + raw.T) / 2.0).entries
+    monkeypatch.setattr(symmat, "_JACOBI_MAX_SWEEPS", 1)  # kernels read it when they run
+    with pytest.raises(ToolkitError) as info:
+        _jacobi(entries, want_vectors)
+    assert str(info.value) == "Jacobi eigensolver failed to converge in 1 sweeps"
+    where = traceback.extract_tb(info.tb)[-1].filename
+    assert where == (f"<jacobi n={n}>" if n <= symmat._JACOBI_UNROLL_MAX_N else symmat.__file__)
 
 
 class TestLambda1Decision:
