@@ -17,6 +17,7 @@ entry, which the matrix and evaluation checks turn into one error line.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -36,6 +37,7 @@ from .errors import (
     ToolkitError,
 )
 from .falsify import (
+    _COUNTEREXAMPLES,
     Certificate,
     PassReport,
     SampleConfig,
@@ -108,7 +110,10 @@ def _default_jets(dim: int, nu_text: str | None):
 
 
 def _emit(obj: dict, args) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # strict JSON has no Infinity or NaN
+        raise NonFiniteValue(f"the report is not strict JSON: {exc}") from exc
     if getattr(args, "output", None):
         try:
             Path(args.output).write_text(text + "\n")
@@ -195,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--op", required=True)
     s.add_argument("--lam", type=float, default=None,
                    help="embed a (lam, hconst) Class U witness instead of the family default")
-    s.add_argument("--hconst", type=float, default=0.0)
+    s.add_argument("--hconst", type=float, default=0.0,
+                   help="constant H(omega) of the embedded witness (with --lam)")
     s.add_argument("--nu", default=None, help="gradient slot as a JSON list (default e1)")
     _add_sampling(s)
     _add_common(s)
@@ -211,19 +217,18 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(s)
 
     s = subs.add_parser("counterexample", help="reproduce a named construction")
-    s.add_argument("--name", required=True,
-                   choices=("inf_laplace", "k_hessian", "p1_laplace", "power_not_u",
-                            "p_laplace_not_u", "bounded_h"))
+    # each flag's dest is a parameter name; it reaches the constructors that take it
+    s.add_argument("--name", required=True, choices=_COUNTEREXAMPLES)
     s.add_argument("--dim", type=int, default=None)
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--c", type=float, default=None)
     s.add_argument("--p", type=float, default=None)
     s.add_argument("--lam", type=float, default=None)
-    s.add_argument("--hconst", type=float, default=None)
-    s.add_argument("--d-root", type=int, default=None, dest="d_root",
+    s.add_argument("--hconst", type=float, default=None, dest="h_const", metavar="HCONST")
+    s.add_argument("--d-root", type=int, default=None, dest="d", metavar="D_ROOT",
                    help="odd root exponent d for power_not_u")
-    s.add_argument("--homog", action="store_true",
+    s.add_argument("--homog", action="store_true", dest="homogeneous",
                    help="use the homogeneous variant (inf_laplace only)")
     _add_common(s, default_expect="fail")
 
@@ -306,21 +311,10 @@ def _cmd_bounds(args) -> int:
     return _finish(report.to_json_obj(), "pass", args)
 
 
-# counterexample parameter, its CLI attribute, and the names that take it (None: all)
-_COUNTEREXAMPLE_PARAMS = (
-    ("dim", "dim", None), ("k", "k", ("k_hessian",)), ("n", "n", ("k_hessian",)),
-    ("c", "c", ("inf_laplace", "p1_laplace")), ("p", "p", ("p_laplace_not_u",)),
-    ("lam", "lam", ("power_not_u", "p_laplace_not_u")),
-    ("h_const", "hconst", ("power_not_u", "p_laplace_not_u")), ("d", "d_root", ("power_not_u",)),
-)
-
-
 def _cmd_counterexample(args) -> int:
-    params = {param: getattr(args, attr) for param, attr, names in _COUNTEREXAMPLE_PARAMS
-              if getattr(args, attr) is not None and (names is None or args.name in names)}
-    if args.name == "inf_laplace" and args.homog:
-        params["homogeneous"] = True
-    cert = counterexample(args.name, **params)
+    params = inspect.signature(_COUNTEREXAMPLES[args.name]).parameters
+    cert = counterexample(args.name, **{name: getattr(args, name) for name in params
+                                        if getattr(args, name, None) is not None})
     cert.reverify()
     return _finish(cert.to_json_obj(), "violation", args)
 

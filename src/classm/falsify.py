@@ -116,7 +116,7 @@ class Certificate:
         if self.recheck is None:
             raise ToolkitError(f"certificate {self.kind} carries no recheck closure")
         value = float(self.recheck())
-        if abs(value - self.margin) > 1e-10:
+        if not abs(value - self.margin) <= 1e-10:  # a NaN margin fails too
             raise ToolkitError(
                 f"certificate {self.kind} failed reverification: stored {self.margin!r}, "
                 f"recomputed {value!r}"
@@ -309,6 +309,29 @@ def _class_u_probes(cfg: SampleConfig):
     return probes
 
 
+def _class_u_sides(op: OperatorDescriptor, omega: JetPoint, b: SymmetricMatrix,
+                   m: SymmetricMatrix, lam: float, h: float) -> tuple[float, float]:
+    """F(omega, B) - F(omega, M) and the gap lam tr(M - B) + H that it must meet."""
+    return op.evaluate(omega, b) - op.evaluate(omega, m), lam * (m.trace() - b.trace()) + h
+
+
+def _class_u_certificate(op, omega, b, m, lam, h, sides, description, trial_index=None,
+                         **extra) -> Certificate:
+    """The class_u.violation certificate for sides = _class_u_sides(op, omega, b, m, lam, h)."""
+    lhs, rhs = sides
+
+    def recheck():
+        lhs, rhs = _class_u_sides(op, omega, b, m, lam, h)
+        return rhs - lhs
+
+    return Certificate(
+        kind="class_u.violation",
+        witnesses={"omega": omega, "B": b, "M": m, "lam": lam, "H_omega": h,
+                   "operator": op.name, **extra},
+        inequality_values={"F_B_minus_F_M": lhs, "gap_required": rhs},
+        margin=rhs - lhs, trial_index=trial_index, description=description, recheck=recheck)
+
+
 def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
     """Check F(omega, B) - F(omega, M) >= lam tr(M - B) + H(omega) on B <= M.
 
@@ -323,21 +346,13 @@ def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
         omega, b, m = case
         if not (op.in_domain(omega, b) and op.in_domain(omega, m)):
             return None
-        lhs = op.evaluate(omega, b) - op.evaluate(omega, m)
-        rhs = w.lam * (m.trace() - b.trace()) + float(w.H(omega))
-        if lhs < rhs - VIOLATION_MARGIN:
-            return Certificate(
-                kind="class_u.violation",
-                witnesses={"omega": omega, "B": b, "M": m, "lam": w.lam,
-                           "H_omega": float(w.H(omega)), "operator": op.name},
-                inequality_values={"F_B_minus_F_M": lhs, "gap_required": rhs},
-                margin=rhs - lhs,
-                trial_index=index,
-                description="B <= M but the uniform-ellipticity gap "
-                            "lam tr(M - B) + H(omega) is not met",
-                recheck=lambda: (w.lam * (m.trace() - b.trace()) + float(w.H(omega)))
-                                - (op.evaluate(omega, b) - op.evaluate(omega, m)),
-            )
+        h = float(w.H(omega))
+        sides = _class_u_sides(op, omega, b, m, w.lam, h)
+        if sides[0] < sides[1] - VIOLATION_MARGIN:
+            return _class_u_certificate(
+                op, omega, b, m, w.lam, h, sides,
+                "B <= M but the uniform-ellipticity gap lam tr(M - B) + H(omega) is not met",
+                trial_index=index)
         return None
 
     def draw(rng, _carried):
@@ -546,32 +561,39 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
 # Deterministic counterexample catalog
 # ---------------------------------------------------------------------------
 
-def _cert_inf_laplace(dim: int = 2, c: float = -1e6, homogeneous: bool = False) -> Certificate:
+def _flat_divergence(kind: str, op: OperatorDescriptor, axis: int, spike, dim: int, c: float,
+                     description: str) -> Certificate:
+    """-F(e_axis, spike(dim, c')) is the same for c' = 0, -1, -1e3 and c while
+    lambda_1 = c' runs away: the certificate, with -F taken from the first rung."""
     if dim < 2:
         raise BadParams("the spike construction needs dim >= 2")
     if c > 0.0:
         raise BadParams(f"c must be <= 0, got {c}")
-    op = inf_laplace_homog() if homogeneous else inf_laplace()
-    omega = unit_jet(dim)
+    omega = unit_jet(dim, axis=axis)
     grid = sorted({0.0, -1.0, -1e3, float(c)}, reverse=True)
     rows = []
-    for cval in grid:
-        x = _spike_low(dim, cval)
-        value = -op.evaluate(omega, x)
-        if value != 1.0:
-            raise ToolkitError(f"expected -F = 1 exactly, got {value!r}")
-        rows.append({"c": cval, "neg_F": value, "lambda1": float(x.eigenvalues()[0])})
-    x_last = _spike_low(dim, grid[-1])
+    for cval in grid:  # spike(dim, cval) is diagonal with least entry cval, so lambda_1 = cval
+        value = -op.evaluate(omega, spike(dim, cval))
+        if rows and value != rows[0]["neg_F"]:
+            raise ToolkitError(f"expected -F = {rows[0]['neg_F']!r} exactly, got {value!r}")
+        rows.append({"c": cval, "neg_F": value, "lambda1": cval})
+    expected = rows[0]["neg_F"]
+    x_last = spike(dim, grid[-1])
     return Certificate(
-        kind="counterexample.inf_laplace",
+        kind=kind, description=description,
         witnesses={"omega": omega, "X_at_cmin": x_last, "M": SymmetricMatrix.identity(dim)},
-        inequality_values={"neg_F_constant": 1.0, "lambda1_at_cmin": grid[-1], "grid": rows},
-        margin=1.0 - grid[-1],
-        description="-F(e1, diag(1, 0, ..., 0, c)) = 1 for every c <= 0 while lambda_1 = c "
-                    "runs to -infinity; any increasing bijection g1(., I) eventually drops "
-                    "below 1, so condition 3 cannot hold",
-        recheck=lambda: -op.evaluate(omega, x_last) - float(x_last.eigenvalues()[0]),
-    )
+        inequality_values={"neg_F_constant": expected, "lambda1_at_cmin": grid[-1],
+                           "grid": rows},
+        margin=expected - grid[-1], recheck=lambda: -op.evaluate(omega, x_last) - grid[-1])
+
+
+def _cert_inf_laplace(dim: int = 2, c: float = -1e6, homogeneous: bool = False) -> Certificate:
+    return _flat_divergence(
+        "counterexample.inf_laplace", inf_laplace_homog() if homogeneous else inf_laplace(),
+        0, _spike_low, dim, c,
+        "-F(e1, diag(1, 0, ..., 0, c)) = 1 for every c <= 0 while lambda_1 = c "
+        "runs to -infinity; any increasing bijection g1(., I) eventually drops "
+        "below 1, so condition 3 cannot hold")
 
 
 def _sk_bruteforce(values, k: int):
@@ -631,33 +653,11 @@ def _cert_k_hessian(dim: int = 3, k: int = 2, n: int = 5) -> Certificate:
 
 
 def _cert_p1_laplace(dim: int = 4, c: float = -100.0) -> Certificate:
-    if dim < 2:
-        raise BadParams("need dim >= 2")
-    if c > 0.0:
-        raise BadParams(f"c must be <= 0, got {c}")
-    op = p_laplace(1)
-    omega = unit_jet(dim, axis=dim - 1)
-    grid = sorted({0.0, -1.0, -1e3, float(c)}, reverse=True)
-    rows = []
-    expected = float(dim - 1)
-    for cval in grid:
-        x = _ones_tail(dim, cval)
-        value = -op.evaluate(omega, x)
-        if value != expected:
-            raise ToolkitError(f"expected -F_1 = {expected} exactly, got {value!r}")
-        rows.append({"c": cval, "neg_F": value, "lambda1": min(cval, 1.0)})
-    x_last = _ones_tail(dim, grid[-1])
-    return Certificate(
-        kind="counterexample.p1_laplace",
-        witnesses={"omega": omega, "X_at_cmin": x_last, "M": SymmetricMatrix.identity(dim)},
-        inequality_values={"neg_F_constant": expected, "lambda1_at_cmin": grid[-1],
-                           "grid": rows},
-        margin=expected - grid[-1],
-        description="-F_1(e_N, diag(1, ..., 1, c)) = (N-1+c) - c = N-1 for every c <= 0 "
-                    "while lambda_1 = c runs to -infinity; as with the inf-Laplacian this "
-                    "contradicts condition 3 for any candidate g1",
-        recheck=lambda: -op.evaluate(omega, x_last) - grid[-1],
-    )
+    return _flat_divergence(
+        "counterexample.p1_laplace", p_laplace(1), dim - 1, _ones_tail, dim, c,
+        "-F_1(e_N, diag(1, ..., 1, c)) = (N-1+c) - c = N-1 for every c <= 0 "
+        "while lambda_1 = c runs to -infinity; as with the inf-Laplacian this "
+        "contradicts condition 3 for any candidate g1")
 
 
 def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
@@ -673,21 +673,13 @@ def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
     for j in range(0, 120):
         n = 2.0 ** j
         x = SymmetricMatrix.diagonal([-n] + [-1.0 / n] * (dim - 1))
-        lhs = op.evaluate(omega, x) - op.evaluate(omega, zero)
-        rhs = lam * (zero.trace() - x.trace()) + k_const
-        if lhs < rhs - max(VIOLATION_MARGIN, 1e-8 * abs(rhs)):
-            return Certificate(
-                kind="class_u.violation",
-                witnesses={"omega": omega, "B": x, "M": zero, "lam": lam,
-                           "H_omega": k_const, "operator": op.name, "n": n},
-                inequality_values={"F_B_minus_F_M": lhs, "gap_required": rhs},
-                margin=rhs - lhs,
-                description=f"X_n = -diag(n, 1/n, ..., 1/n) with n = {n:g}: the gap "
-                            "lam tr(-X_n) + K grows like lam n but F(X_n) - F(0) only like "
-                            "n^(1/d), so the uniform-ellipticity inequality fails",
-                recheck=lambda: (lam * (zero.trace() - x.trace()) + k_const)
-                                - (op.evaluate(omega, x) - op.evaluate(omega, zero)),
-            )
+        sides = _class_u_sides(op, omega, x, zero, lam, k_const)
+        if sides[0] < sides[1] - max(VIOLATION_MARGIN, 1e-8 * abs(sides[1])):
+            return _class_u_certificate(
+                op, omega, x, zero, lam, k_const, sides,
+                f"X_n = -diag(n, 1/n, ..., 1/n) with n = {n:g}: the gap lam tr(-X_n) + K "
+                "grows like lam n but F(X_n) - F(0) only like n^(1/d), so the "
+                "uniform-ellipticity inequality fails", n=n)
     raise BadParams(f"no violating n below 2^120 for lam = {lam:g}, H = {k_const:g}")
 
 
@@ -720,22 +712,14 @@ def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
     tail[-1] = ell
     y = SymmetricMatrix.diagonal(tail)
     x = SymmetricMatrix.zero(dim)
-    lhs = op.evaluate(omega, x) - op.evaluate(omega, y)
-    rhs = lam * (y.trace() - x.trace()) + h_val
-    if not lhs < rhs - VIOLATION_MARGIN:  # the rounded |c|^(p-2) sits too close to lam
+    sides = _class_u_sides(op, omega, x, y, lam, h_val)
+    if not sides[0] < sides[1] - VIOLATION_MARGIN:  # the rounded |c|^(p-2) sits too close to lam
         raise BadParams(f"|c|^(p-2) = {realised!r} leaves no gap for lam={lam}, H={h_val}")
-    return Certificate(
-        kind="class_u.violation",
-        witnesses={"omega": omega, "B": x, "M": y, "lam": lam, "H_omega": h_val,
-                   "operator": op.name, "c": c, "l": ell},
-        inequality_values={"F_B_minus_F_M": lhs, "gap_required": rhs},
-        margin=rhs - lhs,
-        description="nu = c e1 sits in the nullspace of Y = diag(0, ..., 0, l), so "
-                    "F_p(nu, 0) - F_p(nu, Y) = |nu|^(p-2) l, while the required gap is "
-                    "lam l + H; with |c|^(p-2) = lam/2 and l large the gap wins",
-        recheck=lambda: (lam * (y.trace() - x.trace()) + h_val)
-                        - (op.evaluate(omega, x) - op.evaluate(omega, y)),
-    )
+    return _class_u_certificate(
+        op, omega, x, y, lam, h_val, sides,
+        "nu = c e1 sits in the nullspace of Y = diag(0, ..., 0, l), so "
+        "F_p(nu, 0) - F_p(nu, Y) = |nu|^(p-2) l, while the required gap is "
+        "lam l + H; with |c|^(p-2) = lam/2 and l large the gap wins", c=c, l=ell)
 
 
 def _cert_bounded_h(dim: int = 3, h: MonotoneFunction | None = None,

@@ -351,24 +351,31 @@ def sqrt_gradient() -> OperatorDescriptor:
     )
 
 
+_ALL = "all (omega, X)"
+_P_FIELD = {"p": "required, >= 1"}
+
+# family -> (constructor, JSON fields with their catalog text, domain)
 _FAMILIES = {
-    "linear_uniform": linear_uniform,
-    "p_laplace": p_laplace,
-    "p_laplace_homog": p_laplace_homog,
-    "inf_laplace": inf_laplace,
-    "inf_laplace_homog": inf_laplace_homog,
-    "k_hessian": k_hessian,
-    "eig_sum": eig_sum,
-    "sqrt_gradient": sqrt_gradient,
+    "linear_uniform": (linear_uniform, {"theta": "required, > 0",
+                                        "sigma": "optional PSD matrix rows",
+                                        "b": "optional vector", "c": "optional scalar"}, _ALL),
+    "p_laplace": (p_laplace, _P_FIELD, "nu != 0"),
+    "p_laplace_homog": (p_laplace_homog, _P_FIELD, "nu != 0"),
+    "inf_laplace": (inf_laplace, {}, _ALL),
+    "inf_laplace_homog": (inf_laplace_homog, {}, "nu != 0"),
+    "k_hessian": (k_hessian, {"k": "required integer, 1 <= k <= N"},
+                  "lambda(X) in closed Gamma_k cone"),
+    "eig_sum": (eig_sum, {"h": "identity | arctan | odd_root",
+                          "d": "odd integer >= 3 when h = odd_root"}, _ALL),
+    "sqrt_gradient": (sqrt_gradient, {}, _ALL),
 }
 
 
 def make_operator(family: str, **params) -> OperatorDescriptor:
     """Construct a catalog operator by family name; BadParams on bad input."""
-    ctor = _FAMILIES.get(family)
-    if ctor is None:
+    if family not in _FAMILIES:
         raise BadParams(f"unknown operator family {family!r}; known: {sorted(_FAMILIES)}")
-    return ctor(**params)
+    return _FAMILIES[family][0](**params)
 
 
 _MONOTONE_BY_NAME = {
@@ -380,15 +387,9 @@ _MONOTONE_BY_NAME = {
 def operator_from_json(spec) -> OperatorDescriptor:
     """Build an operator from its JSON description.
 
-    Field names per family:
-      {"family": "linear_uniform", "theta": t, "sigma": [[...]]?, "b": [...]?, "c": s?}
-      {"family": "p_laplace", "p": p}            {"family": "p_laplace_homog", "p": p}
-      {"family": "inf_laplace"}                  {"family": "inf_laplace_homog"}
-      {"family": "k_hessian", "k": k}
-      {"family": "eig_sum", "h": "identity" | "arctan" | "odd_root", "d": d?}
-      {"family": "sqrt_gradient"}
-    Every field but family and h holds numbers only: no booleans, strings or
-    null. k and d must be integral.
+    ``spec`` holds "family" and that family's fields, as `catalog()` lists
+    them. Every field but family and h holds numbers only: no booleans,
+    strings or null. k and d must be integral.
     """
     if not isinstance(spec, dict):
         raise BadParams(f"operator spec must be a JSON object, got {type(spec).__name__}")
@@ -444,19 +445,5 @@ def _eig_sum_from_json(spec: dict) -> OperatorDescriptor:
 
 def catalog() -> list[dict]:
     """Machine-readable listing of the shipped families and their JSON fields."""
-    return [
-        {"family": "linear_uniform", "fields": {"theta": "required, > 0",
-                                                "sigma": "optional PSD matrix rows",
-                                                "b": "optional vector", "c": "optional scalar"},
-         "domain": "all (omega, X)"},
-        {"family": "p_laplace", "fields": {"p": "required, >= 1"}, "domain": "nu != 0"},
-        {"family": "p_laplace_homog", "fields": {"p": "required, >= 1"}, "domain": "nu != 0"},
-        {"family": "inf_laplace", "fields": {}, "domain": "all (omega, X)"},
-        {"family": "inf_laplace_homog", "fields": {}, "domain": "nu != 0"},
-        {"family": "k_hessian", "fields": {"k": "required integer, 1 <= k <= N"},
-         "domain": "lambda(X) in closed Gamma_k cone"},
-        {"family": "eig_sum", "fields": {"h": "identity | arctan | odd_root",
-                                         "d": "odd integer >= 3 when h = odd_root"},
-         "domain": "all (omega, X)"},
-        {"family": "sqrt_gradient", "fields": {}, "domain": "all (omega, X)"},
-    ]
+    return [{"family": family, "fields": dict(fields), "domain": domain}
+            for family, (_ctor, fields, domain) in _FAMILIES.items()]

@@ -274,19 +274,20 @@ def auto_witness_pair(op: OperatorDescriptor, omega_x: JetPoint, omega_y: JetPoi
                       h_const: float = 0.0) -> tuple[ClassMWitness, ClassMWitness]:
     """Canonical witness pair for a catalog operator.
 
-    p-Laplace families get their dedicated pair (g1 at omega_x, g2 at
-    omega_y); eigenvalue sums get theirs; linear_uniform and sqrt_gradient go
-    through the Class U embedding (lam defaults to theta, resp. 1). Any other
-    operator uses the embedding when ``lam`` is given and otherwise raises
-    NotInClassM, as do the families with no witness pair at all.
+    When ``lam`` is given, every family gets the Class U embedding of the
+    (lam, h_const) witness, g1 at omega_x and g2 at omega_y. When it is
+    None, p-Laplace families get their dedicated pair (NotInClassM at p = 1),
+    eigenvalue sums get theirs, linear_uniform and sqrt_gradient get the
+    embedding with lam = theta, resp. 1, and the other families raise
+    NotInClassM.
     """
     fam = op.family
-    if fam in ("p_laplace", "p_laplace_homog"):
+    if lam is None and fam in ("p_laplace", "p_laplace_homog"):
         homog = fam == "p_laplace_homog"
         g1 = witness_p_laplace(op.params["p"], omega_x, homogeneous=homog)[0]
         g2 = witness_p_laplace(op.params["p"], omega_y, homogeneous=homog)[1]
         return g1, g2
-    if fam == "eig_sum":
+    if lam is None and fam == "eig_sum":
         return witness_eig_sum(op.params["h"])
     if lam is None and fam == "linear_uniform":
         lam = op.params["theta"]

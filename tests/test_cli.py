@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from classm.cli import main
+from classm.cli import _build_parser, main
+from classm.falsify import _COUNTEREXAMPLES
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -117,6 +118,14 @@ class TestExitCodes:
         ["counterexample", "--name", "power_not_u", "--lam", "1e308"],
         ["counterexample", "--name", "power_not_u", "--lam", "1e-320"],
         ["counterexample", "--name", "power_not_u", "--hconst", "nan"],
+        # finite input whose report would hold Infinity or NaN
+        ["sums-demo", "--dim", "1", "--op", '{"family":"p_laplace","p":1e308}', "--terms", "1",
+         "--json"],
+        ["check-class-m", "--op", '{"family":"linear_uniform","theta":1e308}', "--dim", "2",
+         "--trials", "3", "--hconst", "1e308", "--lam", "1e-320", "--json"],
+        ["check-class-u", "--op", P3, "--dim", "2", "--trials", "1", "--lam", "1e308", "--json"],
+        ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "2", "--trials", "5",
+         "--lam", "1", "--hconst", "inf"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -156,8 +165,7 @@ _COMMANDS = {
     "bounds": ({"--op": _OPS, "--E": _MATRICES, "--D": _MATRICES},
                {"--route": ["theorem", "corollary"], "--lam": _FLOATS, "--hconst": _FLOATS,
                 "--nu": _NUS}),
-    "counterexample": ({"--name": ["inf_laplace", "k_hessian", "p1_laplace", "power_not_u",
-                                   "p_laplace_not_u", "bounded_h"]},
+    "counterexample": ({"--name": list(_COUNTEREXAMPLES)},
                        {"--dim": _SMALL_INTS, "--k": _SMALL_INTS, "--n": _SMALL_INTS,
                         "--c": _FLOATS, "--p": _FLOATS, "--lam": _FLOATS, "--hconst": _FLOATS,
                         "--d-root": _SMALL_INTS}),
@@ -181,23 +189,62 @@ def _argvs(draw):
     return argv
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_argvs())
 def test_argv_fuzz_exit_codes(argv):
-    """Any argv exits 0, 1 or 2; exit 2 prints no traceback or warning and ends in an input error."""
+    """Any argv exits 0, 1 or 2; exit 0 or 1 prints strict JSON, and exit 2 prints no
+    traceback or warning and ends in an input error."""
+    argv = argv + ["--json"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with contextlib.redirect_stdout(io.StringIO()), \
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)
     assert code in (0, 1, 2), argv
     assert not caught, (argv, [str(w.message) for w in caught])
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
     if code == 2:
         lines = err.getvalue().strip().splitlines()
         assert "Traceback" not in err.getvalue()
         last = lines[-1] if lines else ""
         # an input fault, or argparse's usage line "classm <command>: error: ..."
         assert last.startswith(("error:", "classm")) and "error: " in last, (argv, err.getvalue())
+
+
+class TestCounterexampleFlags:
+    def test_name_choices_are_the_falsify_table(self):
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        name = next(a for a in sub.choices["counterexample"]._actions if a.dest == "name")
+        assert list(name.choices) == list(_COUNTEREXAMPLES)
+
+    def test_hconst_reaches_p_laplace_not_u(self, capsys):
+        _, obj = run_json(capsys, "counterexample", "--name", "p_laplace_not_u", "--hconst", "-2")
+        assert obj["witnesses"]["H_omega"] == -2
+
+    def test_d_root_reaches_power_not_u(self, capsys):
+        _, obj3 = run_json(capsys, "counterexample", "--name", "power_not_u", "--lam", "0.5")
+        _, obj5 = run_json(capsys, "counterexample", "--name", "power_not_u", "--lam", "0.5",
+                           "--d-root", "5")
+        assert obj3["witnesses"]["n"] != obj5["witnesses"]["n"]
+        assert obj5["witnesses"]["operator"] == "eig_sum(odd_root(5))"
+
+    def test_c_reaches_p1_laplace(self, capsys):
+        _, obj = run_json(capsys, "counterexample", "--name", "p1_laplace", "--c", "-7")
+        assert {"c": -7, "neg_F": 3, "lambda1": -7} in obj["inequality_values"]["grid"]
+        _, obj = run_json(capsys, "counterexample", "--name", "p1_laplace", "--c=-5000")
+        assert obj["inequality_values"]["lambda1_at_cmin"] == -5000
+
+    def test_k_and_dim_reach_k_hessian(self, capsys):
+        _, default = run_json(capsys, "counterexample", "--name", "k_hessian")
+        _, obj = run_json(capsys, "counterexample", "--name", "k_hessian", "--k", "3",
+                          "--dim", "4")
+        assert obj["witnesses"]["k"] == 3 and obj["witnesses"]["X_at_nmax"]["dim"] == 4
+        assert obj["inequality_values"]["grid"] != default["inequality_values"]["grid"]
 
 
 class TestFallbackCertificates:
@@ -217,6 +264,12 @@ class TestFallbackCertificates:
 
 
 class TestReports:
+    def test_lam_embeds_class_u_witness_for_every_family(self, capsys):
+        code, obj = run_json(capsys, "check-class-m", "--op", '{"family":"p_laplace","p":4}',
+                             "--dim", "2", "--trials", "5", "--lam", "1")
+        assert code == 0
+        assert obj["details"]["g1"] == "class_u_g1[p_laplace(p=4)]"
+
     def test_bounds_theorem_route(self, capsys):
         code, obj = run_json(capsys, "bounds", "--op", '{"family":"p_laplace","p":4}',
                              "--E", EYE2, "--D", EYE2)

@@ -31,7 +31,7 @@ from classm import (
     unit_jet,
     witness_p_laplace,
 )
-from classm.errors import BadArgument
+from classm.errors import BadArgument, ToolkitError
 from classm.falsify import _jet_draw, _rng
 from conftest import brute_sk
 
@@ -325,6 +325,12 @@ class TestCounterexamples:
             counterexample("power_not_u", d=3, dim=2, lam=-1.0)
         with pytest.raises(BadParams):
             counterexample("k_hessian", bogus=1)
+
+    def test_nan_margin_fails_reverification(self):
+        cert = Certificate(kind="nan", witnesses={}, inequality_values={}, margin=math.nan,
+                           recheck=lambda: math.nan)
+        with pytest.raises(ToolkitError):
+            cert.reverify()
 
     def test_certificates_serialize(self):
         for name, params in (("inf_laplace", {"dim": 2}),

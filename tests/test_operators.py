@@ -10,6 +10,7 @@ from classm import (
     OutOfDomain,
     SymmetricMatrix,
     arctan_monotone,
+    catalog,
     eig_sum,
     identity_monotone,
     inf_laplace,
@@ -243,6 +244,17 @@ class TestJson:
     def test_rejects_coerced_fields(self, spec):
         with pytest.raises(BadParams):
             operator_from_json(spec)
+
+    # a valid value for every field that catalog() lists
+    _FIELD_VALUES = {"theta": 1.0, "sigma": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 1.0], "c": 0.5,
+                     "p": 3.0, "k": 2, "h": "odd_root", "d": 3}
+
+    @pytest.mark.parametrize("row", catalog(), ids=lambda row: row["family"])
+    def test_catalog_fields_are_the_spec_fields(self, row):
+        spec = {"family": row["family"], **{f: self._FIELD_VALUES[f] for f in row["fields"]}}
+        assert operator_from_json(spec).family == row["family"]
+        with pytest.raises(BadParams):
+            operator_from_json({**spec, "unlisted": 1.0})
 
     def test_integral_float_is_an_integer(self):
         assert operator_from_json({"family": "k_hessian", "k": 2.0}).name == "k_hessian(k=2)"
