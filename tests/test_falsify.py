@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -436,3 +437,57 @@ def test_violation_golden(case):
     canonical = json.dumps(cert.to_json_obj(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
     cert.reverify()
+
+
+def half_domain_pair(dim):
+    """The Class U embedding of -tr X with g1 cut down to M_00 >= 0, so that
+    conditions 1 and 2 count only the draws inside g1's domain."""
+    op = eig_sum(identity_monotone())
+    g1, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(dim))
+    return op, dataclasses.replace(g1, domain_S=lambda m: m.entries[0, 0] >= 0.0), g2
+
+
+def p_laplace_pair(dim):
+    return (p_laplace(3), *witness_p_laplace(3, unit_jet(dim)))
+
+
+# Each checker's PassReport at dims 1 and 3, as (probes, sha256 of its
+# canonical JSON). Ten trials sit below both of check_class_m's caps on its
+# condition-1 and condition-2 samples (32 and 16); forty sit above them.
+PASS_GOLDEN = {
+    "ellipticity_dim1": (
+        lambda: check_degenerate_ellipticity(p_laplace(3), small_cfg(trials=10, dim=1)), 0,
+        "7f6c9946824bd247f0eb5a41ee45e0fa79e313911b1070ebc0cbcbf9636b4a90"),
+    "ellipticity_dim3": (
+        lambda: check_degenerate_ellipticity(p_laplace(3), small_cfg(trials=40)), 0,
+        "679c4756c295704c714fe112133af0fe24cea97446a74a8000a90c5bdb979814"),
+    "class_u_dim1": (
+        lambda: check_class_u(linear_uniform(1.5), class_u_constant(1.5),
+                              small_cfg(trials=10, dim=1)), 20,
+        "947f55ded22074861c4cd024bbbd6ab597a3a0cbb5d5e9993a28219c7dc1d595"),
+    "class_u_dim3": (
+        lambda: check_class_u(linear_uniform(1.5), class_u_constant(1.5),
+                              small_cfg(trials=40)), 80,
+        "2c90c696bf76c8005e38fa7c3a7dbedd15af8d1fedc8a70ff22ee1a91b447059"),
+    "class_m_dim1": (
+        lambda: check_class_m(*p_laplace_pair(1), small_cfg(trials=10, dim=1)), 81,
+        "ca3baeb06141e6c44a76b0d921bc6b5d55a4c75f56fb79345010248d0019b638"),
+    "class_m_dim3": (
+        lambda: check_class_m(*p_laplace_pair(3), small_cfg(trials=40)), 260,
+        "476a4d4768d14ab43fcc87f4cc88df30497cfe8aef18d95de62a749857eb1228"),
+    "class_m_half_domain_dim1": (
+        lambda: check_class_m(*half_domain_pair(1), small_cfg(trials=10, dim=1)), 74,
+        "900cc01f1c5f52ef36ab56a4fcada90e42155b4573eac846d6479529b4824c97"),
+    "class_m_half_domain_dim3": (
+        lambda: check_class_m(*half_domain_pair(3), small_cfg(trials=40)), 242,
+        "f0ef7c9e3dbd4620622c8b02d5be080ee8dc47c849ed989adaab459a2fe37077"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PASS_GOLDEN))
+def test_pass_report_golden(case):
+    run, probes, digest = PASS_GOLDEN[case]
+    rep = run()
+    assert isinstance(rep, PassReport)
+    canonical = json.dumps(rep.to_json_obj(), sort_keys=True, separators=(",", ":"))
+    assert (rep.probes, hashlib.sha256(canonical.encode()).hexdigest()) == (probes, digest)
