@@ -6,9 +6,11 @@ conditions. Each checker first walks a deterministic ladder of adversarial
 probes (the constructions that actually break non-members: gradients in the
 nullspace of Y - X, spike matrices diag(1, 0, ..., 0, c), the double-spike
 diag(-n, -n, 1, ..., 1), and scalar ladders c I vs 0) and then runs seeded
-random trials. Trials are enumerated deterministically (probes first, then
-random indices with per-index generator streams), so identical configs give
-identical reports regardless of how trials would be scheduled.
+random trials. One driver, `_first_violation`, runs both and writes the
+verdict. A probe is one outcome it consumes: one per ladder construction, and
+for Class M conditions 1 and 2 one per sampled M inside the witness's domain.
+Each trial index draws from its own generator stream, so identical configs
+give identical reports.
 
 `counterexample` reproduces the named deterministic constructions and emits
 a Certificate. Certificates are self-verifying: `reverify()` recomputes the
@@ -21,6 +23,7 @@ finite test can quantify over.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -203,15 +206,18 @@ def _ones_tail(n: int, c: float) -> SymmetricMatrix:
     return SymmetricMatrix.diagonal([1.0] * (n - 1) + [c])
 
 
-def _first_violation(cfg: SampleConfig, probes, stages) -> Optional[Certificate]:
-    """The first Certificate from ``probes`` (lazy outcomes), then from random trials.
+def _first_violation(kind: str, cfg: SampleConfig, details: dict, probes, stages):
+    """The first Certificate from ``probes``, then from random trials, else the PassReport.
 
-    Trial ``idx`` has its own stream and runs each stage ``(draw, check,
-    exhausted)`` in turn: ``draw(rng, carried)`` is retried until it returns a
-    case, at most RESAMPLE_CAP times, then ``check(case, idx)`` runs.
-    ``carried`` is the previous stage's case, on the first attempt only.
+    A probe is one outcome (a Certificate or None) that the lazy ``probes``
+    yields to this driver, which counts them. Trial ``idx`` has its own stream
+    and runs each stage ``(draw, check, exhausted)`` in turn: ``draw(rng,
+    carried)`` is retried until it returns a case, at most RESAMPLE_CAP times,
+    then ``check(case, idx)`` runs. ``carried`` is the previous stage's case,
+    on the first attempt only.
     """
-    for cert in probes:
+    count = 0
+    for count, cert in enumerate(probes, 1):
         if cert is not None:
             return cert
     for idx in range(cfg.trials):
@@ -229,7 +235,8 @@ def _first_violation(cfg: SampleConfig, probes, stages) -> Optional[Certificate]
             if cert is not None:
                 return cert
             carried = case
-    return None
+    return PassReport(kind=kind, trials=cfg.trials, probes=count, config=cfg.to_json_obj(),
+                      details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +277,8 @@ def check_degenerate_ellipticity(op: OperatorDescriptor, cfg: SampleConfig):
         return None
 
     exhausted = f"{op.name}: no admissible (omega, X, Y) in {RESAMPLE_CAP} draws"
-    return _first_violation(cfg, (), [(draw, check, exhausted)]) or PassReport(
-        kind="degenerate_ellipticity", trials=cfg.trials, probes=0,
-        config=cfg.to_json_obj(), details={"operator": op.name},
-    )
+    return _first_violation("degenerate_ellipticity", cfg, {"operator": op.name}, (),
+                            [(draw, check, exhausted)])
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +345,6 @@ def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
     Certificate.
     """
     probes = _class_u_probes(cfg)
-    base = len(probes)
 
     def run_one(case, index):
         omega, b, m = case
@@ -361,14 +365,10 @@ def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
         b = SymmetricMatrix(m.entries - _psd_draw(rng, cfg.dim, cfg.scale))
         return (omega, b, m) if op.in_domain(omega, b) and op.in_domain(omega, m) else None
 
-    trial = (draw, lambda case, idx: run_one(case, base + idx),
+    trial = (draw, lambda case, idx: run_one(case, len(probes) + idx),
              f"{op.name}: no admissible (B, M) in {RESAMPLE_CAP} draws")
-    probe_outcomes = (run_one(case, index) for index, case in enumerate(probes))
-    return _first_violation(cfg, probe_outcomes, [trial]) or PassReport(
-        kind="class_u", trials=cfg.trials, probes=base,
-        config=cfg.to_json_obj(),
-        details={"operator": op.name, "witness": w.name},
-    )
+    return _first_violation("class_u", cfg, {"operator": op.name, "witness": w.name},
+                            (run_one(case, index) for index, case in enumerate(probes)), [trial])
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +392,38 @@ def _in_domain_s(g: ClassMWitness, m: SymmetricMatrix) -> bool:
         return False
 
 
+def _condition1(g: ClassMWitness, m: SymmetricMatrix) -> Optional[Certificate]:
+    """Condition 1 at M: t -> g(t, M) rises strictly on _COND1_GRID and grows at its ends."""
+    vals = [g.evaluate(t, m) for t in _COND1_GRID]
+    for pos in range(len(vals) - 1):
+        if not vals[pos + 1] > vals[pos]:
+            ta, tb = _COND1_GRID[pos], _COND1_GRID[pos + 1]
+            return Certificate(
+                kind="class_m.condition1",
+                witnesses={"witness": g.name, "M": m, "t_lo": ta, "t_hi": tb},
+                inequality_values={"g_lo": vals[pos], "g_hi": vals[pos + 1]},
+                margin=vals[pos] - vals[pos + 1],
+                description=f"t -> {g.which}(t, M) is not strictly increasing "
+                            f"between t = {ta:g} and t = {tb:g}",
+                recheck=lambda: g.evaluate(ta, m) - g.evaluate(tb, m),
+            )
+    lo_gap = abs(vals[1] - vals[0])
+    hi_gap = abs(vals[-1] - vals[-2])
+    if lo_gap <= 1e-6 * (1.0 + abs(vals[1])) or hi_gap <= 1e-6 * (1.0 + abs(vals[-2])):
+        return Certificate(
+            kind="class_m.condition1",
+            witnesses={"witness": g.name, "M": m},
+            inequality_values={"low_end_gap": lo_gap, "high_end_gap": hi_gap},
+            margin=min(lo_gap, hi_gap),
+            description=f"{g.which}(t, M) shows no growth between the 1e4 and 1e6 "
+                        "grid ends; an increasing bijection of R must keep growing",
+            recheck=lambda: min(
+                abs(g.evaluate(_COND1_GRID[1], m) - g.evaluate(_COND1_GRID[0], m)),
+                abs(g.evaluate(_COND1_GRID[-1], m) - g.evaluate(_COND1_GRID[-2], m))),
+        )
+    return None
+
+
 def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                   cfg: SampleConfig):
     """Check witness conditions 1 to 4 for (g1, g2) against the operator.
@@ -407,67 +439,32 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
     omega1 = _witness_omega(g1, cfg)
     omega2 = _witness_omega(g2, cfg)
     n = cfg.dim
-    probe_count = 0
 
-    # Condition 1 on sampled matrices.
-    for i in range(min(32, cfg.trials)):
-        rng = _rng(cfg.seed, _PHASE_COND1, i)
-        m = _sym_draw(rng, n, cfg.scale)
-        for g in (g1, g2):
-            if not _in_domain_s(g, m):
-                continue
-            probe_count += 1
-            vals = [g.evaluate(t, m) for t in _COND1_GRID]
-            for pos in range(len(vals) - 1):
-                if not vals[pos + 1] > vals[pos]:
-                    ta, tb = _COND1_GRID[pos], _COND1_GRID[pos + 1]
-                    return Certificate(
-                        kind="class_m.condition1",
-                        witnesses={"witness": g.name, "M": m, "t_lo": ta, "t_hi": tb},
-                        inequality_values={"g_lo": vals[pos], "g_hi": vals[pos + 1]},
-                        margin=vals[pos] - vals[pos + 1],
-                        description=f"t -> {g.which}(t, M) is not strictly increasing "
-                                    f"between t = {ta:g} and t = {tb:g}",
-                        recheck=lambda g=g, m=m, ta=ta, tb=tb:
-                            g.evaluate(ta, m) - g.evaluate(tb, m),
-                    )
-            lo_gap = abs(vals[1] - vals[0])
-            hi_gap = abs(vals[-1] - vals[-2])
-            if lo_gap <= 1e-6 * (1.0 + abs(vals[1])) or hi_gap <= 1e-6 * (1.0 + abs(vals[-2])):
-                return Certificate(
-                    kind="class_m.condition1",
-                    witnesses={"witness": g.name, "M": m},
-                    inequality_values={"low_end_gap": lo_gap, "high_end_gap": hi_gap},
-                    margin=min(lo_gap, hi_gap),
-                    description=f"{g.which}(t, M) shows no growth between the 1e4 and 1e6 "
-                                "grid ends; an increasing bijection of R must keep growing",
-                    recheck=lambda g=g, m=m: min(
-                        abs(g.evaluate(_COND1_GRID[1], m) - g.evaluate(_COND1_GRID[0], m)),
-                        abs(g.evaluate(_COND1_GRID[-1], m) - g.evaluate(_COND1_GRID[-2], m))),
-                )
+    condition1 = (_condition1(g, m) for i in range(min(32, cfg.trials))
+                  for m in [_sym_draw(_rng(cfg.seed, _PHASE_COND1, i), n, cfg.scale)]
+                  for g in (g1, g2) if _in_domain_s(g, m))
 
     # Condition 2: two-scale continuity probe for the inverse at zero. The
     # fine perturbation is 1000x smaller; a continuous (even merely Hoelder)
     # map settles well below 0.75x the coarse response, a jump does not.
-    for i in range(min(16, cfg.trials)):
-        rng = _rng(cfg.seed, _PHASE_COND2, i)
-        m = _sym_draw(rng, n, cfg.scale)
-        direction = _sym_draw(rng, n, 1.0)
-        dscale = float(np.max(np.abs(direction.entries)))
-        if dscale == 0.0:
-            continue
-        direction = direction.scaled(1.0 / dscale)
-        for g in (g1, g2):
-            coarse = SymmetricMatrix(m.entries + 1e-2 * direction.entries)
-            fine = SymmetricMatrix(m.entries + 1e-5 * direction.entries)
-            if not (_in_domain_s(g, m) and _in_domain_s(g, coarse) and _in_domain_s(g, fine)):
+    def condition2():
+        for i in range(min(16, cfg.trials)):
+            rng = _rng(cfg.seed, _PHASE_COND2, i)
+            m = _sym_draw(rng, n, cfg.scale)
+            direction = _sym_draw(rng, n, 1.0)
+            dscale = float(np.max(np.abs(direction.entries)))
+            if dscale == 0.0:
                 continue
-            probe_count += 1
-            base = g.inv_at_zero(m)
-            d_coarse = abs(g.inv_at_zero(coarse) - base)
-            d_fine = abs(g.inv_at_zero(fine) - base)
-            if d_fine > max(0.75 * d_coarse, 1e-7):
-                return Certificate(
+            direction = direction.scaled(1.0 / dscale)
+            for g in (g1, g2):
+                coarse = SymmetricMatrix(m.entries + 1e-2 * direction.entries)
+                fine = SymmetricMatrix(m.entries + 1e-5 * direction.entries)
+                if not (_in_domain_s(g, m) and _in_domain_s(g, coarse) and _in_domain_s(g, fine)):
+                    continue
+                base = g.inv_at_zero(m)
+                d_coarse = abs(g.inv_at_zero(coarse) - base)
+                d_fine = abs(g.inv_at_zero(fine) - base)
+                yield None if not d_fine > max(0.75 * d_coarse, 1e-7) else Certificate(
                     kind="class_m.condition2",
                     witnesses={"witness": g.name, "M": m, "direction": direction},
                     inequality_values={"response_coarse": d_coarse, "response_fine": d_fine},
@@ -522,7 +519,6 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
     # Deterministic divergence ladder: lambda_1(X) walks to -infinity along
     # fixed constructions while each pair stays ordered (X <= M exactly).
     def ladder():
-        nonlocal probe_count
         identity = SymmetricMatrix.identity(n)
         zero = SymmetricMatrix.zero(n)
         for j in _LADDER_EXPONENTS:
@@ -533,9 +529,7 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                 rung.append((_double_spike(n, c), identity))
                 rung.append((_ones_tail(n, -c), identity))
             for x, m in rung:
-                probe_count += 1
-                yield cond3_check((x, m), None)
-                yield cond4_check((x.negated(), m), None)
+                yield cond3_check((x, m), None) or cond4_check((x.negated(), m), None)
 
     # Random ordered pairs: X <= M, then -M <= Y with M redrawn outside g2's domain.
     def draw3(rng, _carried):
@@ -550,11 +544,9 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
 
     stages = [(draw3, cond3_check, "no admissible (X, M) pair for condition 3"),
               (draw4, cond4_check, "no admissible (Y, M) pair for condition 4")]
-    return _first_violation(cfg, ladder(), stages) or PassReport(
-        kind="class_m", trials=cfg.trials, probes=probe_count,
-        config=cfg.to_json_obj(),
-        details={"operator": op.name, "g1": g1.name, "g2": g2.name},
-    )
+    details = {"operator": op.name, "g1": g1.name, "g2": g2.name}
+    return _first_violation("class_m", cfg, details,
+                            itertools.chain(condition1, condition2(), ladder()), stages)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from classm import (
     witness_p_laplace,
 )
 from classm.errors import BadArgument, ToolkitError
+from classm import falsify
 from classm.falsify import _jet_draw, _rng
 from conftest import brute_sk
 
@@ -491,3 +492,27 @@ def test_pass_report_golden(case):
     assert isinstance(rep, PassReport)
     canonical = json.dumps(rep.to_json_obj(), sort_keys=True, separators=(",", ":"))
     assert (rep.probes, hashlib.sha256(canonical.encode()).hexdigest()) == (probes, digest)
+
+
+@pytest.mark.parametrize("case", sorted(PASS_GOLDEN))
+def test_every_stream_opens_inside_the_driver(monkeypatch, case):
+    """Each seeded stream a checker opens, probes and trials alike, is opened while
+    _first_violation runs, so the driver sees all of them."""
+    rng, driver = falsify._rng, falsify._first_violation
+    depth, opened = [0], []
+
+    def counted_rng(*args):
+        opened.append(depth[0])
+        return rng(*args)
+
+    def counted_driver(*args):
+        depth[0] += 1
+        try:
+            return driver(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(falsify, "_rng", counted_rng)
+    monkeypatch.setattr(falsify, "_first_violation", counted_driver)
+    PASS_GOLDEN[case][0]()
+    assert opened and all(opened)
