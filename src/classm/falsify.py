@@ -56,7 +56,7 @@ _LADDER_EXPONENTS = range(0, 41)
 
 _COND1_GRID = (-1e6, -1e4, -1e2, -1.0, -1e-2, 0.0, 1e-2, 1.0, 1e2, 1e4, 1e6)
 
-# Random-trial stream tags; deterministic probes use no randomness at all.
+# Stream tags: the random trials, and the sampled M of Class M conditions 1 and 2.
 _PHASE_TRIALS = 1
 _PHASE_COND1 = 2
 _PHASE_COND2 = 3
@@ -544,8 +544,7 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
 
     stages = [(draw3, cond3_check, "no admissible (X, M) pair for condition 3"),
               (draw4, cond4_check, "no admissible (Y, M) pair for condition 4")]
-    details = {"operator": op.name, "g1": g1.name, "g2": g2.name}
-    return _first_violation("class_m", cfg, details,
+    return _first_violation("class_m", cfg, {"operator": op.name, "g1": g1.name, "g2": g2.name},
                             itertools.chain(condition1, condition2(), ladder()), stages)
 
 
@@ -566,8 +565,9 @@ def _flat_divergence(kind: str, op: OperatorDescriptor, axis: int, spike, dim: i
     rows = []
     for cval in grid:  # spike(dim, cval) is diagonal with least entry cval, so lambda_1 = cval
         value = -op.evaluate(omega, spike(dim, cval))
-        if rows and value != rows[0]["neg_F"]:
-            raise ToolkitError(f"expected -F = {rows[0]['neg_F']!r} exactly, got {value!r}")
+        if rows and value != rows[0]["neg_F"]:  # on a fixed rung the program is at fault
+            error = ToolkitError if cval in (0.0, -1.0, -1e3) else BadParams
+            raise error(f"c = {cval!r} rounds -F to {value!r}, not {rows[0]['neg_F']!r} exactly")
         rows.append({"c": cval, "neg_F": value, "lambda1": cval})
     expected = rows[0]["neg_F"]
     x_last = spike(dim, grid[-1])

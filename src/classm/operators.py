@@ -153,13 +153,18 @@ class OperatorDescriptor:
     def evaluate(self, w: JetPoint, x: SymmetricMatrix) -> float:
         if not self.in_domain(w, x):
             raise OutOfDomain(f"{self.name}: ({w!r}, matrix dim {x.dim}) is outside the domain")
-        try:
-            val = float(self.raw_evaluate(w, x))
-        except OverflowError:  # Python float powers raise where numpy would give inf
-            val = math.inf
-        if not math.isfinite(val):  # jet points and matrices are finite, so the input overflowed
-            raise NonFiniteValue(f"{self.name}: evaluation produced a non-finite value")
-        return val
+        return _finite(self.name, self.raw_evaluate, w, x)
+
+
+def _finite(name: str, fn, *args) -> float:
+    """float(fn(*args)), refused with NonFiniteValue when not finite: the input overflowed."""
+    try:
+        val = float(fn(*args))
+    except OverflowError:  # Python float powers raise where numpy would give inf
+        val = math.inf
+    if not math.isfinite(val):
+        raise NonFiniteValue(f"{name}: evaluation produced a non-finite value")
+    return val
 
 
 def evaluate(op: OperatorDescriptor, w: JetPoint, x: SymmetricMatrix) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import BadArgument, BadParams, DimMismatch, NonFiniteValue, NotInClassM, OutOfDomain
-from .operators import GRAD_NORM_FLOOR, JetPoint, MonotoneFunction, OperatorDescriptor
+from .operators import GRAD_NORM_FLOOR, JetPoint, MonotoneFunction, OperatorDescriptor, _finite
 from .symmat import SymmetricMatrix
 
 BISECT_BRACKET = 1e9
@@ -89,13 +89,13 @@ class ClassMWitness:
 
     def evaluate(self, t: float, m: SymmetricMatrix) -> float:
         self._gate(m)
-        return float(self.eval_fn(float(t), m))
+        return _finite(self.name, self.eval_fn, float(t), m)
 
     def inv_at_zero(self, m: SymmetricMatrix) -> float:
         self._gate(m)
-        if self.inv_at_zero_fn is not None:
-            return float(self.inv_at_zero_fn(m))
-        return bisect_inverse_at_zero(self.eval_fn, m)
+        if self.inv_at_zero_fn is None:
+            return bisect_inverse_at_zero(self.eval_fn, m)
+        return _finite(self.name, self.inv_at_zero_fn, m)
 
 
 def bisect_inverse_at_zero(eval_fn, m: SymmetricMatrix,
@@ -176,7 +176,10 @@ def witness_p_laplace(p: float, omega: JetPoint,
     if nn < GRAD_NORM_FLOOR:
         raise OutOfDomain("p-Laplace witnesses need a nonzero gradient slot")
     n = omega.dim
-    coef = 1.0 if homogeneous else nn ** (p - 2.0)
+    try:  # a huge |nu| or p overflows the prefactor, and evaluate refuses the inf
+        coef = 1.0 if homogeneous else nn ** (p - 2.0)
+    except OverflowError:
+        coef = math.inf
     if p >= 2.0:
         slope, kappa = 1.0, float(n + p - 3.0)
     else:

@@ -126,13 +126,39 @@ class TestExitCodes:
         ["check-class-u", "--op", P3, "--dim", "2", "--trials", "1", "--lam", "1e308", "--json"],
         ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "2", "--trials", "5",
          "--lam", "1", "--hconst", "inf"],
+        # witness values that overflow, and a c too large for an exact -F
+        ["bounds", "--op", '{"family":"eig_sum","h":"odd_root","d":5}',
+         "--E", '{"dim":3,"rows":[[1e308,0,0],[0,1e308,0],[0,0,1e308]]}',
+         "--D", '{"dim":3,"rows":[[1,0,0],[0,1,0],[0,0,1]]}'],
+        ["check-class-m", "--op", '{"family":"p_laplace","p":1e300}', "--dim", "2",
+         "--trials", "3", "--nu", "[2,0]"],
+        ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "2", "--trials", "3",
+         "--nu", "[1e200,0]"],
+        ["counterexample", "--name", "p1_laplace", "--c=-1e300", "--dim", "3"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not recwarn.list
+
+    def test_p1_laplace_error_names_c(self, capsys):
+        _, _, err = run_cli(capsys, "counterexample", "--name", "p1_laplace", "--c=-1e300",
+                            "--dim", "3")
+        assert err.startswith("error: c = -1e+300 ")
+
+    @pytest.mark.parametrize("op, nu, bound", [
+        ('{"family":"p_laplace","p":4}', "[1e200,0]", -3.0),
+        ('{"family":"p_laplace","p":1e300}', "[1e200,0]", -1e300),
+        ('{"family":"p_laplace","p":1e300}', "[2,0]", -1e300),
+    ])
+    def test_overflowing_prefactor_keeps_the_theorem_bounds(self, capsys, op, nu, bound):
+        """|nu|^(p-2) overflows to inf, but the theorem route reads only the zero crossing
+        -(N+p-3) lambda_N, which does not involve it."""
+        code, obj = run_json(capsys, "bounds", "--op", op, "--E", EYE2, "--D", EYE2, "--nu", nu)
+        assert code == 0
+        assert (obj["lower_X"], obj["lower_negY"]) == (bound, bound)
 
     def test_not_in_class_m_without_fallback_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sums-demo", "--alpha", "1", "--dim", "2",
@@ -141,13 +167,14 @@ class TestExitCodes:
         assert "witness" in err
 
 
-_FLOATS = ["0", "-1", "0.5", "2", "1e-320", "1e200", "1e308", "inf", "-inf", "nan", "x"]
+_FLOATS = ["0", "-1", "0.5", "2", "1e-320", "1e200", "1e308", "-1e300", "inf", "-inf", "nan", "x"]
 _SMALL_INTS = ["-1", "0", "1", "2", "3", "x", "1e3"]  # small, so every command stays cheap
 _OPS = [P3, LIN, '{"family":"p_laplace","p":1}', '{"family":"p_laplace","p":1e308}',
         '{"family":"linear_uniform","theta":1e308}', '{"family":"linear_uniform","theta":-1}',
         '{"family":"k_hessian","k":2}', '{"family":"inf_laplace"}', '{"family":"inf_laplace_homog"}',
         '{"family":"eig_sum","h":"odd_root","d":3}', '{"family":"eig_sum","h":"arctan"}',
-        '{"family":"sqrt_gradient"}', '{}']
+        '{"family":"sqrt_gradient"}', '{}', '{"family":"eig_sum","h":"odd_root","d":5}',
+        '{"family":"p_laplace","p":1e300}']
 _MATRICES = [EYE2, '{"dim":1,"rows":[[1]]}', '{"dim":2,"rows":[[1e308,1e308],[1e308,1e308]]}',
              '{"dim":2,"rows":[[1e200,0],[0,-1e200]]}', '{"dim":2,"rows":[[1e-320,0],[0,1]]}',
              "@/nonexistent"]
@@ -184,8 +211,8 @@ def _argvs(draw):
         flags += draw(st.lists(st.sampled_from(sorted(sometimes)), unique=True, max_size=3))
     values = {**sometimes, **always}
     argv = [command]
-    for flag in flags:
-        argv += [flag, draw(st.sampled_from(values[flag]))]
+    for flag in flags:  # one token, so that values such as -inf are not read as flags
+        argv.append(f"{flag}={draw(st.sampled_from(values[flag]))}")
     return argv
 
 

@@ -18,6 +18,7 @@ from classm import (
     SampleConfig,
     SamplingExhausted,
     arctan_monotone,
+    auto_witness_pair,
     check_class_m,
     check_class_u,
     check_degenerate_ellipticity,
@@ -32,9 +33,9 @@ from classm import (
     unit_jet,
     witness_p_laplace,
 )
-from classm.errors import BadArgument, ToolkitError
+from classm.errors import BadArgument, NonFiniteValue, ToolkitError
 from classm import falsify
-from classm.falsify import _jet_draw, _rng
+from classm.falsify import _flat_divergence, _jet_draw, _ones_tail, _rng
 from conftest import brute_sk
 
 
@@ -235,6 +236,12 @@ class TestClassM:
         assert isinstance(cert, Certificate)
         assert cert.kind in ("class_m.condition1", "class_m.condition2")
 
+    def test_overflowing_witness_values_are_refused(self):
+        op = linear_uniform(1e308)
+        g1, g2 = auto_witness_pair(op, unit_jet(2), unit_jet(2), lam=1e-320, h_const=1e308)
+        with pytest.raises(NonFiniteValue):  # not a condition-1 certificate with a NaN margin
+            check_class_m(op, g1, g2, SampleConfig(seed=0, trials=3, dim=2))
+
     def test_determinism(self):
         om = unit_jet(3)
         g1, g2 = witness_p_laplace(4, om)
@@ -311,6 +318,16 @@ class TestCounterexamples:
     def test_bounded_h_rejects_unbounded(self):
         with pytest.raises(BadParams):
             counterexample("bounded_h", dim=2, h=identity_monotone())
+
+    def test_flat_divergence_blames_c_only_off_the_fixed_rungs(self):
+        with pytest.raises(BadParams, match=r"^c = -1e\+300 "):  # (2 - 1e300) + 1e300 = 0
+            counterexample("p1_laplace", c=-1e300, dim=3)
+        bumpy = OperatorDescriptor(name="bumpy", family="test", params={},
+                                   in_domain=lambda w, x: True,
+                                   raw_evaluate=lambda w, x: float(x.entries[-1, -1] == -1e3))
+        with pytest.raises(ToolkitError) as info:
+            _flat_divergence("test", bumpy, 0, _ones_tail, 3, -5.0, "")
+        assert not isinstance(info.value, BadParams)
 
     def test_bad_params(self):
         with pytest.raises(BadParams):

@@ -6,6 +6,7 @@ from classm import (
     ClassMWitness,
     DimMismatch,
     JetPoint,
+    NonFiniteValue,
     NotInClassM,
     OutOfDomain,
     SymmetricMatrix,
@@ -120,6 +121,14 @@ class TestPLaplaceWitness:
         assert g1_small.inv_at_zero(m) == g1_unit.inv_at_zero(m)
         assert g1_small.evaluate(1.0, m) == 0.25 * g1_unit.evaluate(1.0, m)
 
+    def test_overflowing_prefactor_is_refused_at_evaluate(self):
+        g1, g2 = witness_p_laplace(1e300, JetPoint([0.0, 0.0], 0.0, [2.0, 0.0]))
+        eye = SymmetricMatrix.identity(2)
+        assert (g1.inv_at_zero(eye), g2.inv_at_zero(eye)) == (-1e300, 1e300)
+        for g in (g1, g2):
+            with pytest.raises(NonFiniteValue):
+                g.evaluate(1.0, eye)
+
     def test_homogeneous_variant(self):
         om = JetPoint([0.0, 0.0], 0.0, [0.5, 0.0])
         g1h, _ = witness_p_laplace(4, om, homogeneous=True)
@@ -140,6 +149,14 @@ class TestEigSumWitness:
             g1, g2 = witness_eig_sum(h)
             assert g1.inv_at_zero(SymmetricMatrix.zero(3)) == 0.0
             assert g2.inv_at_zero(SymmetricMatrix.zero(3)) == 0.0
+
+    def test_overflowing_inverse_is_refused(self):
+        g1, g2 = witness_eig_sum(odd_root_monotone(5))
+        big = SymmetricMatrix.diagonal([1e308, 1e308, 1e308])
+        with pytest.raises(NonFiniteValue):  # (2 * 1e308^(1/5))^5 = 32e308 overflows
+            g1.inv_at_zero(big)
+        with pytest.raises(NonFiniteValue):  # 3 * 1e308 overflows the sum
+            witness_eig_sum(identity_monotone())[0].evaluate(1e308, big)
 
     def test_arctan_not_in_class_m(self):
         with pytest.raises(NotInClassM):
