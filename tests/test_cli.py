@@ -143,11 +143,6 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not recwarn.list
 
-    def test_p1_laplace_error_names_c(self, capsys):
-        _, _, err = run_cli(capsys, "counterexample", "--name", "p1_laplace", "--c=-1e300",
-                            "--dim", "3")
-        assert err.startswith("error: c = -1e+300 ")
-
     @pytest.mark.parametrize("op, nu, bound", [
         ('{"family":"p_laplace","p":4}', "[1e200,0]", -3.0),
         ('{"family":"p_laplace","p":1e300}', "[1e200,0]", -1e300),
