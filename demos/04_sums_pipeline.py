@@ -36,7 +36,7 @@ print("A^2 = 2 alpha A:", np.allclose(
 print()
 
 sched = EpsilonSchedule.geometric(eps0=1.0, ratio=0.5, count=40)
-family = generate_admissible(blocks, sched, slack=0.0, seed=0)
+family = generate_admissible(blocks, sched, slack=0.0)
 print(f"schedule: {len(sched.values)} geometric terms from {sched.values[0]} down to "
       f"{sched.values[-1]:.3e}")
 for eps, (x, y) in list(zip(sched.values, family.pairs))[:4]:

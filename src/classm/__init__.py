@@ -56,7 +56,6 @@ from .symmat import (
     SymmetricMatrix,
     block_compose,
     block_extract,
-    default_loewner_tol,
     eigen_decompose,
     elementary_symmetric,
     format_matrix_text,

@@ -7,11 +7,11 @@ with --json, so identical seeds give byte-identical output.
 
 Exit codes: 0 when the outcome matches the expectation (--expect defaults to
 pass for checks and bounds, fail for counterexamples), 1 when it does not,
-2 on usage or input errors. The environment variable ELLIPTIC_TOL overrides
-the default Loewner tolerance (1e-9) wherever a tolerance is not given
-explicitly; no command here relies on that default. Numpy's floating-point
-warnings are silenced: an overflow or invalid value leaves a non-finite
-entry, which the matrix and evaluation checks turn into one error line.
+2 on usage or input errors: malformed JSON or any ToolkitError subclass prints
+one ``error:`` line, a bare ToolkitError (a broken invariant) ``internal error:``.
+Numpy's floating-point warnings are silenced: an overflow or invalid value
+leaves a non-finite entry, which the matrix and evaluation checks turn into
+one error line.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .errors import (
     InvalidMatrix,
     NonFiniteValue,
     NotInClassM,
-    OutOfDomain,
-    SamplingExhausted,
-    SlackTooLarge,
     ToolkitError,
 )
 from .falsify import (
@@ -65,14 +62,12 @@ from .sums import (
     verify_conclusion,
 )
 from .witnesses import (
+    _default_lam,
     auto_witness_pair,
     class_u_constant,
     corollary_bounds,
     theorem_lower_bounds,
 )
-
-_INPUT_ERRORS = (BadParams, BadArgument, InvalidMatrix, DimMismatch, OutOfDomain, SlackTooLarge,
-                 NonFiniteValue, SamplingExhausted, NotInClassM, json.JSONDecodeError)
 
 
 def _parse_operator(text: str) -> OperatorDescriptor:
@@ -298,11 +293,9 @@ def _cmd_bounds(args) -> int:
         raise DimMismatch(f"--E is {e.dim}x{e.dim} but --D is {d.dim}x{d.dim}")
     omega_x, omega_y = _default_jets(e.dim, args.nu)
     if args.route == "corollary":
-        lam = args.lam
-        if lam is None and op.family == "linear_uniform":
-            lam = op.params["theta"]
+        lam = _default_lam(op) if args.lam is None else args.lam
         if lam is None:
-            raise BadParams("--route corollary needs --lam (or a linear_uniform operator)")
+            raise BadParams(f"--route corollary needs --lam for {op.name}")
         report = corollary_bounds(op, class_u_constant(lam, args.hconst),
                                   omega_x, omega_y, e, d)
     else:
@@ -327,7 +320,7 @@ def _cmd_sums_demo(args) -> int:
     g1, g2 = auto_witness_pair(op, omega_x, omega_y, lam=args.lam, h_const=args.hconst)
     blocks = hessian_blocks(tf)
     sched = EpsilonSchedule.geometric(args.eps0, args.ratio, args.terms)
-    family = generate_admissible(blocks, sched, slack=args.slack, seed=args.seed)
+    family = generate_admissible(blocks, sched, slack=args.slack)
     rows = []
     for eps, (x, y) in zip(sched.values, family.pairs):
         lower, upper = _eq1_margins(blocks, eps, x, y)
@@ -382,11 +375,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ToolkitError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except (ToolkitError, json.JSONDecodeError) as exc:
+        blame = "internal error" if type(exc) is ToolkitError else "error"
+        print(f"{blame}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -58,14 +58,18 @@ class JetPoint:
         if x.ndim != 1 or nu.ndim != 1 or x.shape != nu.shape:
             raise BadParams(f"x and nu must be vectors of equal length, got {x.shape} and {nu.shape}")
         r = float(self.r)
-        if not all(map(math.isfinite, x.tolist() + nu.tolist() + [r])):
+        nu_list = nu.tolist()
+        if not all(map(math.isfinite, x.tolist() + nu_list + [r])):
             raise BadParams("jet point components must be finite")
         x.setflags(write=False)
         nu.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "_nu_norm", float(np.linalg.norm(nu)))
+        norm = math.hypot(*nu_list)
+        if 1e-150 < norm < 1e150:  # numpy's sum of squares neither overflows nor underflows
+            norm = float(np.linalg.norm(nu))
+        object.__setattr__(self, "_nu_norm", norm)
 
     @property
     def dim(self) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -152,7 +151,6 @@ class AdmissibleFamily:
     schedule: EpsilonSchedule
     pairs: tuple
     slack: float = 0.0
-    seed: Optional[int] = None
 
 
 def _sigma_max(block: np.ndarray) -> float:
@@ -161,8 +159,8 @@ def _sigma_max(block: np.ndarray) -> float:
     return math.sqrt(max(top, 0.0))
 
 
-def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule, slack: float = 0.0,
-                        seed: Optional[int] = None) -> AdmissibleFamily:
+def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
+                        slack: float = 0.0) -> AdmissibleFamily:
     """Build (X_eps, Y_eps) pairs satisfying the two-sided inequality.
 
     For each eps: W = A + eps A^2, c_eps = sigma_max(W_12) + slack,
@@ -173,8 +171,7 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule, slack: float =
     above the -(1/eps + ||A||) floor whenever eps * ||A|| <= sqrt(3)/2 for
     every scheduled eps (lambda_1(W) >= -1/(4 eps) while sigma_max(W_12) <=
     ||A|| + eps ||A||^2); beyond that envelope, or for huge slack, the error
-    is the documented outcome. The construction is closed form; `seed` is
-    recorded for trace provenance only.
+    is the documented outcome. The construction is closed form: nothing is drawn.
     """
     if not 0.0 <= slack < math.inf:
         raise BadArgument(f"slack must be finite and >= 0, got {slack}")
@@ -201,7 +198,7 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule, slack: float =
                 f"(the construction needs slack small and eps * ||A|| <= 0.86)"
             )
         pairs.append((x, neg_y.negated()))
-    return AdmissibleFamily(A=a, schedule=sched, pairs=tuple(pairs), slack=slack, seed=seed)
+    return AdmissibleFamily(A=a, schedule=sched, pairs=tuple(pairs), slack=slack)
 
 
 def _eq1_terms(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix):

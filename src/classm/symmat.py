@@ -30,7 +30,6 @@ import functools
 import itertools
 import math
 import operator
-import os
 import sys
 
 import numpy as np
@@ -98,23 +97,6 @@ _CERTIFY_BAND = 1e-10
 # float spacing, so no float lies in between. A band that is not a finite
 # normal float, or a non-finite S_j, decides nothing.
 _GAMMA_BAND = 1e-10
-
-
-def default_loewner_tol() -> float:
-    """Default absolute tolerance on lambda_1 of a difference matrix.
-
-    The environment variable ``ELLIPTIC_TOL`` overrides the built-in 1e-9.
-    """
-    raw = os.environ.get("ELLIPTIC_TOL")
-    if raw is None:
-        return DEFAULT_LOEWNER_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise BadArgument(f"ELLIPTIC_TOL is not a number: {raw!r}") from exc
-    if tol < 0.0:
-        raise BadArgument(f"ELLIPTIC_TOL must be >= 0, got {tol}")
-    return tol
 
 
 class Spectrum:
@@ -199,18 +181,11 @@ class SymmetricMatrix:
     def negated(self) -> "SymmetricMatrix":
         return SymmetricMatrix(-self.entries)
 
-    def plus(self, other: "SymmetricMatrix") -> "SymmetricMatrix":
-        if other.dim != self.dim:
-            raise DimMismatch(f"cannot add {self.dim}x{self.dim} and {other.dim}x{other.dim}")
-        return SymmetricMatrix(self.entries + other.entries)
-
     def trace(self) -> float:
         return float(np.trace(self.entries))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues (cached; vectors are not accumulated)."""
-        if self._spectrum is not None:
-            return self._spectrum.eigenvalues
         if self._evals is None:
             diag, _ = _jacobi(self.entries, want_vectors=False)
             evals = np.array(sorted(diag), dtype=float)
@@ -226,6 +201,7 @@ class SymmetricMatrix:
             flip = [max((row[j] for row in q), key=abs) < 0.0 for j in order]
             vecs = [[-row[j] if f else row[j] for j, f in zip(order, flip)] for row in q]
             self._spectrum = Spectrum([diag[j] for j in order], vecs)
+            self._evals = self._spectrum.eigenvalues  # the same bits: rotations never read q
         return self._spectrum
 
     def __eq__(self, other):
@@ -394,12 +370,10 @@ def operator_norm(x: SymmetricMatrix) -> float:
     return float(max(abs(evals[0]), abs(evals[-1])))
 
 
-def loewner_leq(x: SymmetricMatrix, y: SymmetricMatrix, tol: float | None = None) -> bool:
+def loewner_leq(x: SymmetricMatrix, y: SymmetricMatrix, tol: float = DEFAULT_LOEWNER_TOL) -> bool:
     """True iff x <= y in the Loewner order, i.e. lambda_1(y - x) >= -tol."""
     if x.dim != y.dim:
         raise DimMismatch(f"Loewner comparison of {x.dim}x{x.dim} against {y.dim}x{y.dim}")
-    if tol is None:
-        tol = default_loewner_tol()
     if tol < 0.0:
         raise BadArgument(f"tolerance must be >= 0, got {tol}")
     return _lambda1_at_least(SymmetricMatrix(y.entries - x.entries), -tol)
@@ -415,7 +389,7 @@ def _lambda1_at_least(m: SymmetricMatrix, bound: float, offset: float = 0.0) -> 
     including a non-finite band or sigma, falls back to the Jacobi value, so
     a False answer always comes from the eigenvalue itself.
     """
-    if m._evals is None and m._spectrum is None:
+    if m._evals is None:
         rows = m.entries.tolist()
         scale = math.hypot(*itertools.chain.from_iterable(rows)) + abs(bound) + abs(offset)
         band = _CERTIFY_BAND * scale
@@ -493,7 +467,7 @@ def gamma_k_member(x: SymmetricMatrix, k: int, tol: float = GAMMA_CONE_TOL) -> b
         raise BadArgument(f"k must be an integer in 1..{x.dim}, got {k!r}")
     if tol < 0.0:
         raise BadArgument(f"tolerance must be >= 0, got {tol}")
-    if x._evals is None and x._spectrum is None:
+    if x._evals is None:
         decided = _gamma_k_certified(x.entries.tolist(), k, tol)
         if decided is not None:
             return decided

@@ -272,6 +272,13 @@ class BoundReport:
         }
 
 
+def _default_lam(op: OperatorDescriptor) -> Optional[float]:
+    """The default Class U slope: theta for linear_uniform, 1 for sqrt_gradient, else None."""
+    if op.family == "linear_uniform":
+        return op.params["theta"]
+    return 1.0 if op.family == "sqrt_gradient" else None
+
+
 def auto_witness_pair(op: OperatorDescriptor, omega_x: JetPoint, omega_y: JetPoint,
                       lam: Optional[float] = None,
                       h_const: float = 0.0) -> tuple[ClassMWitness, ClassMWitness]:
@@ -280,9 +287,8 @@ def auto_witness_pair(op: OperatorDescriptor, omega_x: JetPoint, omega_y: JetPoi
     When ``lam`` is given, every family gets the Class U embedding of the
     (lam, h_const) witness, g1 at omega_x and g2 at omega_y. When it is
     None, p-Laplace families get their dedicated pair (NotInClassM at p = 1),
-    eigenvalue sums get theirs, linear_uniform and sqrt_gradient get the
-    embedding with lam = theta, resp. 1, and the other families raise
-    NotInClassM.
+    eigenvalue sums get theirs, the families with a ``_default_lam`` get the
+    embedding at that slope, and the other families raise NotInClassM.
     """
     fam = op.family
     if lam is None and fam in ("p_laplace", "p_laplace_homog"):
@@ -292,10 +298,7 @@ def auto_witness_pair(op: OperatorDescriptor, omega_x: JetPoint, omega_y: JetPoi
         return g1, g2
     if lam is None and fam == "eig_sum":
         return witness_eig_sum(op.params["h"])
-    if lam is None and fam == "linear_uniform":
-        lam = op.params["theta"]
-    if lam is None and fam == "sqrt_gradient":
-        lam = 1.0
+    lam = _default_lam(op) if lam is None else lam
     if lam is not None:
         w = class_u_constant(lam, h_const)
         g1 = class_u_to_class_m(op, w, omega_x)[0]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from classm import cli, errors
 from classm.cli import _build_parser, main
 from classm.falsify import _COUNTEREXAMPLES
 
@@ -135,6 +136,9 @@ class TestExitCodes:
         ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "2", "--trials", "3",
          "--nu", "[1e200,0]"],
         ["counterexample", "--name", "p1_laplace", "--c=-1e300", "--dim", "3"],
+        # a schedule whose tail has not settled: NonConvergent
+        ["sums-demo", "--alpha", "1e4", "--dim", "1", "--op", LIN, "--ratio", "0.9",
+         "--terms", "10", "--slack", "0.001"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -154,6 +158,19 @@ class TestExitCodes:
         code, obj = run_json(capsys, "bounds", "--op", op, "--E", EYE2, "--D", EYE2, "--nu", nu)
         assert code == 0
         assert (obj["lower_X"], obj["lower_negY"]) == (bound, bound)
+
+    @pytest.mark.parametrize("error", [cls for cls in vars(errors).values() if isinstance(cls, type)
+                                       and issubclass(cls, errors.ToolkitError)],
+                             ids=lambda cls: cls.__name__)
+    def test_only_a_bare_toolkit_error_is_internal(self, capsys, monkeypatch, error):
+        def handler(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_check_ellipticity", handler)
+        code, out, err = run_cli(capsys, "check-ellipticity", "--op", LIN, "--dim", "2")
+        assert (code, out) == (2, "")
+        blame = "internal error" if error is errors.ToolkitError else "error"
+        assert err == f"{blame}: boom\n"
 
     def test_not_in_class_m_without_fallback_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sums-demo", "--alpha", "1", "--dim", "2",
@@ -303,6 +320,17 @@ class TestReports:
                              "--route", "corollary")
         assert code == 0
         assert obj["lower_X"] == -1.0
+
+    def test_corollary_route_takes_the_theorem_routes_default_lam(self, capsys):
+        e = '{"dim":2,"rows":[[2.0,0.5],[0.5,-1.0]]}'
+        d = '{"dim":2,"rows":[[0.3,-0.2],[-0.2,1.5]]}'
+        bounds = {}
+        for route in ("theorem", "corollary"):
+            code, obj = run_json(capsys, "bounds", "--op", '{"family":"sqrt_gradient"}',
+                                 "--E", e, "--D", d, "--route", route)
+            assert code == 0
+            bounds[route] = (obj["lower_X"], obj["lower_negY"])
+        assert bounds["corollary"] == bounds["theorem"]
 
     def test_bounds_matrix_from_files(self, capsys, tmp_path):
         text_file = tmp_path / "e.txt"

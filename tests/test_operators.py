@@ -145,6 +145,17 @@ class TestJetPoint:
         w = JetPoint([0.0, 0.0, 0.0], 0.0, [0.1, -0.7, 0.3])
         assert w._nu_norm == float(np.linalg.norm(w.nu))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e307])
+    def test_gradient_norm_is_right_where_the_squares_leave_the_float_range(self, scale):
+        w = JetPoint([0.0, 0.0], 0.0, [3.0 * scale, 4.0 * scale])
+        assert w._nu_norm == math.hypot(3.0 * scale, 4.0 * scale)
+        assert math.isclose(w._nu_norm, 5.0 * scale)
+
+    def test_huge_gradient_keeps_the_p_laplace_projection(self):
+        """The unit vector nu/|nu| stays e1, so the (p-2) projection term is not lost."""
+        w = JetPoint([0.0, 0.0], 0.0, [1e200, 0.0])
+        assert p_laplace_homog(4).evaluate(w, SymmetricMatrix.diagonal([1.0, 0.0])) == -3.0
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(BadParams):
             JetPoint([0.0, 0.0], 0.0, [1.0])

@@ -133,11 +133,6 @@ class TestGenerator:
         with pytest.raises(BadArgument):
             generate_admissible(blocks, sched, slack=-0.1)
 
-    def test_seed_recorded(self):
-        _, blocks, sched, _ = quadratic_setup()
-        fam = generate_admissible(blocks, sched, seed=77)
-        assert fam.seed == 77
-
 
 class TestGeneratorSolves:
     """The floor check is certified without eigensolves; only a raise solves."""
