@@ -36,7 +36,6 @@ from .operators import (
     arctan_monotone,
     catalog,
     eig_sum,
-    evaluate,
     identity_monotone,
     inf_laplace,
     inf_laplace_homog,

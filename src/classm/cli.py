@@ -117,10 +117,10 @@ def _emit(obj: dict, args) -> None:
     if args.json:
         print(text)
     else:
-        _emit_human(obj, text)
+        _emit_human(obj)
 
 
-def _emit_human(obj: dict, text: str) -> None:
+def _emit_human(obj: dict) -> None:
     kind = obj.get("type")
     if kind == "pass_report":
         print(f"PASS  {obj['kind']}  trials={obj['trials']} probes={obj['probes']} "
@@ -142,8 +142,6 @@ def _emit_human(obj: dict, text: str) -> None:
         print(f"  lower_X={rep['lower_X']:.10g} lower_negY={rep['lower_negY']:.10g} "
               f"upper_block_ok={rep['upper_block_ok']} "
               f"implications_ok={rep['details']['implications_ok']}")
-    else:
-        print(text)
 
 
 def _finish(obj: dict, outcome: str, args) -> int:
@@ -223,8 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--hconst", type=float, default=None, dest="h_const", metavar="HCONST")
     s.add_argument("--d-root", type=int, default=None, dest="d", metavar="D_ROOT",
                    help="odd root exponent d for power_not_u")
-    s.add_argument("--homog", action="store_true", dest="homogeneous",
-                   help="use the homogeneous variant (inf_laplace only)")
     _add_common(s, default_expect="fail")
 
     s = subs.add_parser("sums-demo",
@@ -247,7 +243,7 @@ def _fallback_certificate(op: OperatorDescriptor, dim: int) -> Certificate:
     """Divergence certificate for families with no witness pair."""
     fam = op.family
     if fam in ("inf_laplace", "inf_laplace_homog"):
-        return counterexample("inf_laplace", dim=dim, homogeneous=fam.endswith("homog"))
+        return counterexample("inf_laplace", dim=dim)
     if fam in ("p_laplace", "p_laplace_homog"):
         return counterexample("p1_laplace", dim=dim)
     if fam == "k_hessian":

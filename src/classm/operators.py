@@ -76,11 +76,11 @@ class JetPoint:
         return int(self.x.shape[0])
 
 
-def unit_jet(dim: int, axis: int = 0, r: float = 0.0) -> JetPoint:
-    """Jet point at the origin with nu = e_axis; handy default for checks."""
+def unit_jet(dim: int, axis: int = 0) -> JetPoint:
+    """Jet point at the origin with r = 0 and nu = e_axis; handy default for checks."""
     nu = np.zeros(dim)
     nu[axis] = 1.0
-    return JetPoint(np.zeros(dim), r, nu)
+    return JetPoint(np.zeros(dim), 0.0, nu)
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,6 @@ def _finite(name: str, fn, *args) -> float:
     if not math.isfinite(val):
         raise NonFiniteValue(f"{name}: evaluation produced a non-finite value")
     return val
-
-
-def evaluate(op: OperatorDescriptor, w: JetPoint, x: SymmetricMatrix) -> float:
-    """Domain-checked evaluation F(omega, X); OutOfDomain on violation."""
-    return op.evaluate(w, x)
 
 
 def _as_constant_matrix_callback(value, what: str):

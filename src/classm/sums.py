@@ -150,7 +150,6 @@ class AdmissibleFamily:
     A: BlockMatrix2N
     schedule: EpsilonSchedule
     pairs: tuple
-    slack: float = 0.0
 
 
 def _sigma_max(block: np.ndarray) -> float:
@@ -198,7 +197,7 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
                 f"(the construction needs slack small and eps * ||A|| <= 0.86)"
             )
         pairs.append((x, neg_y.negated()))
-    return AdmissibleFamily(A=a, schedule=sched, pairs=tuple(pairs), slack=slack)
+    return AdmissibleFamily(A=a, schedule=sched, pairs=tuple(pairs))
 
 
 def _eq1_terms(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix):
@@ -221,18 +220,15 @@ def _eq1_margins(a: BlockMatrix2N, eps: float, x: SymmetricMatrix,
     return float(diag.eigenvalues()[0]) + floor, float(gap.eigenvalues()[0])
 
 
-def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix,
-               tol: float = EQ1_TOL) -> bool:
-    """Recheck both sides of the two-sided inequality for one pair."""
+def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix) -> bool:
+    """Recheck both sides of the two-sided inequality for one pair, at tolerance EQ1_TOL."""
     if eps <= 0.0:
         raise BadArgument(f"eps must be > 0, got {eps}")
     n = a.dim_half
     if x.dim != n or y.dim != n:
         raise DimMismatch(f"pair dims ({x.dim}, {y.dim}) do not match blocks dim {n}")
-    if tol < 0.0:
-        raise BadArgument(f"tolerance must be >= 0, got {tol}")
     diag, gap, floor = _eq1_terms(a, eps, x, y)
-    return _lambda1_at_least(diag, -tol, floor) and _lambda1_at_least(gap, -tol)
+    return _lambda1_at_least(diag, -EQ1_TOL, floor) and _lambda1_at_least(gap, -EQ1_TOL)
 
 
 def _upper_bounds(a: BlockMatrix2N, eps0: float):
@@ -288,18 +284,16 @@ def lemma_upper_bound(a: BlockMatrix2N, eps0: float, family: AdmissibleFamily):
     )
 
 
-def extract_limit(family: AdmissibleFamily, tol: float = EQ1_TOL):
+def extract_limit(family: AdmissibleFamily):
     """Entrywise limit of the schedule tail, or NonConvergent.
 
     The last (up to) 10 pairs must be Cauchy: the max entrywise oscillation
-    across the tail has to stay within tol. The returned pair is the last
+    across the tail has to stay within EQ1_TOL. The returned pair is the last
     element of the tail, which also satisfies diag(X, -Y) <= A + tol' with
     tol' absorbing the residual eps ||A^2|| of the final term.
     """
     if not family.pairs:
         raise BadArgument("family has no pairs")
-    if tol <= 0.0:
-        raise BadArgument(f"tol must be > 0, got {tol}")
     tail = family.pairs[-10:]
     xs = np.stack([p[0].entries for p in tail])
     ys = np.stack([p[1].entries for p in tail])
@@ -307,9 +301,9 @@ def extract_limit(family: AdmissibleFamily, tol: float = EQ1_TOL):
         float(np.max(xs.max(axis=0) - xs.min(axis=0))),
         float(np.max(ys.max(axis=0) - ys.min(axis=0))),
     )
-    if osc > tol:
+    if osc > EQ1_TOL:
         raise NonConvergent(
-            f"schedule tail oscillates by {osc:g} entrywise, beyond tol {tol:g}",
+            f"schedule tail oscillates by {osc:g} entrywise, beyond tol {EQ1_TOL:g}",
             oscillation=osc,
         )
     return tail[-1]

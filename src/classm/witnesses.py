@@ -98,16 +98,15 @@ class ClassMWitness:
         return _finite(self.name, self.inv_at_zero_fn, m)
 
 
-def bisect_inverse_at_zero(eval_fn, m: SymmetricMatrix,
-                           bracket: float = BISECT_BRACKET, tol: float = BISECT_TOL) -> float:
-    """Zero crossing of t -> eval_fn(t, m) by bisection on [-bracket, bracket]."""
-    lo, hi = -bracket, bracket
+def bisect_inverse_at_zero(eval_fn, m: SymmetricMatrix) -> float:
+    """Zero crossing of t -> eval_fn(t, m) by bisection on [-BISECT_BRACKET, BISECT_BRACKET]."""
+    lo, hi = -BISECT_BRACKET, BISECT_BRACKET
     flo, fhi = eval_fn(lo, m), eval_fn(hi, m)
     if flo > 0.0 or fhi < 0.0:
         raise BadArgument(
-            f"no sign change on [{-bracket:g}, {bracket:g}]: f(lo)={flo:g}, f(hi)={fhi:g}"
+            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={flo:g}, f(hi)={fhi:g}"
         )
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if eval_fn(mid, m) < 0.0:
             lo = mid

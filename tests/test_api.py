@@ -15,7 +15,6 @@ EXPORTED = [
     "block_extract", "catalog", "check_class_m", "check_class_u",
     "check_degenerate_ellipticity", "class_u_constant", "class_u_to_class_m",
     "corollary_bounds", "counterexample", "eig_sum", "eigen_decompose", "elementary_symmetric",
-    "evaluate",
     "extract_limit", "format_matrix_text", "gamma_k_member", "generate_admissible",
     "hessian_blocks", "identity_monotone", "inf_laplace", "inf_laplace_homog", "k_hessian",
     "lemma_upper_bound", "linear_uniform", "loewner_leq", "make_operator",

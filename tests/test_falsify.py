@@ -258,11 +258,6 @@ class TestCounterexamples:
         assert cert.margin == 1.0 + 1e6
         cert.reverify()
 
-    def test_inf_laplace_homogeneous(self):
-        cert = counterexample("inf_laplace", dim=3, c=-10.0, homogeneous=True)
-        assert cert.inequality_values["neg_F_constant"] == 1.0
-        cert.reverify()
-
     def test_k_hessian_exact_grid(self):
         cert = counterexample("k_hessian", dim=3, k=2, n=5)
         first = cert.inequality_values["grid"][0]

@@ -180,8 +180,6 @@ class TestVerifyEq1:
         _, blocks, _, _ = quadratic_setup()
         with pytest.raises(BadArgument):
             verify_eq1(blocks, 0.0, SymmetricMatrix.zero(2), SymmetricMatrix.zero(2))
-        with pytest.raises(BadArgument):
-            verify_eq1(blocks, 0.5, SymmetricMatrix.zero(2), SymmetricMatrix.zero(2), tol=-1.0)
 
 
 class TestLemmaUpperBound:
