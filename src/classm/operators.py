@@ -290,7 +290,9 @@ def inf_laplace_homog() -> OperatorDescriptor:
     """F(nu, X) = -<X nu, nu> / <nu, nu>; nu != 0."""
 
     def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
-        return -float(w.nu @ x_mat.entries @ w.nu) / float(w.nu @ w.nu)
+        # past |nu| = 1e150 the squares overflow, so nu is rescaled there only, as in _nu_norm
+        nu = w.nu / w._nu_norm if w._nu_norm >= 1e150 else w.nu
+        return -float(nu @ x_mat.entries @ nu) / float(nu @ nu)
 
     return OperatorDescriptor(
         name="inf_laplace_homog",

@@ -163,8 +163,10 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
     """Build (X_eps, Y_eps) pairs satisfying the two-sided inequality.
 
     For each eps: W = A + eps A^2, c_eps = sigma_max(W_12) + slack,
-    X_eps = W_11 - c_eps I and -Y_eps = W_22 - c_eps I. The upper inequality
-    holds because [[c I, W_12], [W_21, c I]] is PSD whenever
+    X_eps = W_11 - c_eps I and -Y_eps = W_22 - c_eps I. sigma_max and slack
+    are subtracted one after the other, so slack is not rounded at the scale
+    of sigma_max: on the quadratic family X_eps is exactly -slack I. The upper
+    inequality holds because [[c I, W_12], [W_21, c I]] is PSD whenever
     c >= sigma_max(W_12); the lower one is checked per eps and a violation
     raises SlackTooLarge. With slack = 0 the recentering is guaranteed to fit
     above the -(1/eps + ||A||) floor whenever eps * ||A|| <= sqrt(3)/2 for
@@ -179,15 +181,16 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
     a2 = amat @ amat
     norm_a = operator_norm(a.assemble())
     eye = np.eye(n)
+    slack_eye = slack * eye
     pairs = []
     for eps in sched.values:
         w = amat + eps * a2
         w11 = SymmetricMatrix(w[:n, :n])
         w12 = w[:n, n:]
         w22 = SymmetricMatrix(w[n:, n:])
-        c = _sigma_max(w12) + slack
-        x = SymmetricMatrix(w11.entries - c * eye)
-        neg_y = SymmetricMatrix(w22.entries - c * eye)
+        sigma_eye = _sigma_max(w12) * eye
+        x = SymmetricMatrix(w11.entries - sigma_eye - slack_eye)
+        neg_y = SymmetricMatrix(w22.entries - sigma_eye - slack_eye)
         floor = -(1.0 / eps + norm_a)
         if not all(_lambda1_at_least(m, floor - EQ1_TOL) for m in (x, neg_y)):
             lowest = min(float(x.eigenvalues()[0]), float(neg_y.eigenvalues()[0]))

@@ -272,10 +272,12 @@ class BoundReport:
 
 
 def _default_lam(op: OperatorDescriptor) -> Optional[float]:
-    """The default Class U slope: theta for linear_uniform, 1 for sqrt_gradient, else None."""
+    """The default Class U slope: theta for linear_uniform, 1 for sqrt_gradient and for
+    the p-Laplace families at p = 2 (the Laplacian), else None."""
     if op.family == "linear_uniform":
         return op.params["theta"]
-    return 1.0 if op.family == "sqrt_gradient" else None
+    laplacian = op.family in ("p_laplace", "p_laplace_homog") and op.params["p"] == 2.0
+    return 1.0 if laplacian or op.family == "sqrt_gradient" else None
 
 
 def auto_witness_pair(op: OperatorDescriptor, omega_x: JetPoint, omega_y: JetPoint,

@@ -136,9 +136,6 @@ class TestExitCodes:
         ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "2", "--trials", "3",
          "--nu", "[1e200,0]"],
         ["counterexample", "--name", "p1_laplace", "--c=-1e300", "--dim", "3"],
-        # a schedule whose tail has not settled: NonConvergent
-        ["sums-demo", "--alpha", "1e4", "--dim", "1", "--op", LIN, "--ratio", "0.9",
-         "--terms", "10", "--slack", "0.001"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -146,6 +143,16 @@ class TestExitCodes:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not recwarn.list
+
+    @pytest.mark.parametrize("alpha", ["1", "1e4"])
+    def test_slack_limit_misses_the_witness_bound_at_any_alpha(self, capsys, alpha):
+        """X_eps = -slack I exactly, so the tail settles at every alpha, and the limit sits
+        slack below the witness's lower bound 0: exit 1, not a NonConvergent error."""
+        code, obj = run_json(capsys, "sums-demo", "--alpha", alpha, "--dim", "1", "--op", LIN,
+                             "--ratio", "0.9", "--terms", "10", "--slack", "0.001")
+        assert code == 1
+        assert obj["limits"]["X"]["rows"] == [[-0.001]]
+        assert not obj["report"]["details"]["limit_lower_X_ok"]
 
     @pytest.mark.parametrize("op, nu, bound", [
         ('{"family":"p_laplace","p":4}', "[1e200,0]", -3.0),
@@ -332,6 +339,21 @@ class TestReports:
             bounds[route] = (obj["lower_X"], obj["lower_negY"])
         assert bounds["corollary"] == bounds["theorem"]
 
+    @pytest.mark.parametrize("family", ["p_laplace", "p_laplace_homog"])
+    def test_laplacian_corollary_route_defaults_to_slope_1(self, capsys, family):
+        op = json.dumps({"family": family, "p": 2})
+        e = '{"dim":3,"rows":[[1,0,0],[0,2,0],[0,0,3]]}'
+        code, cor = run_json(capsys, "bounds", "--op", op, "--E", e, "--D", e,
+                             "--route", "corollary")
+        assert code == 0
+        code, thm = run_json(capsys, "bounds", "--op", op, "--E", e, "--D", e, "--lam", "1")
+        assert code == 0
+        assert (cor["lower_X"], cor["lower_negY"]) == (thm["lower_X"], thm["lower_negY"])
+        assert (cor["lower_X"], cor["lower_negY"]) == (-5.0, -5.0)
+        code, _ = run_json(capsys, "check-class-u", "--op", op, "--lam", "1", "--dim", "3",
+                           "--trials", "200", "--seed", "1")
+        assert code == 0  # slope 1 is a Class U witness of the Laplacian
+
     def test_bounds_matrix_from_files(self, capsys, tmp_path):
         text_file = tmp_path / "e.txt"
         text_file.write_text("2\n1.0 0.0\n0.0 1.0\n")
@@ -367,6 +389,28 @@ class TestReports:
                                "--dim", "3")
         assert code == 0
         assert out.startswith("VIOLATION")
+
+    def test_human_bounds_line(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--op", P3, "--E", EYE2, "--D", EYE2)
+        assert code == 0
+        assert out.splitlines()[0] == ("BOUNDS  lower_X=-2  lower_negY=-2  upper_block_ok=True  "
+                                       "witness=p_laplace_g1(p=3) / p_laplace_g2(p=3)")
+
+    def test_human_catalog_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "catalog")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 8
+        assert lines[1] == (f"{'p_laplace':<20} domain: {'nu != 0':<40} "
+                            "fields: {'p': 'required, >= 1'}")
+
+    def test_human_sums_lines(self, capsys):
+        code, out, _ = run_cli(capsys, "sums-demo", "--alpha", "1", "--dim", "2", "--op", LIN,
+                               "--terms", "8")
+        assert code == 0
+        assert out.splitlines() == [
+            "SUMS  op=linear_uniform(theta=1)  alpha=1.0 dim=2 terms=8",
+            "  lower_X=-1 lower_negY=-1 upper_block_ok=True implications_ok=True"]
 
 
 class TestSchema:

@@ -215,14 +215,19 @@ class TestClassM:
         cert.reverify()
 
     def test_condition1_bounded_eval_certified(self):
+        """tanh(t / 1000) rises strictly on the grid but is flat at its ends: the growth
+        certificate, not the non-monotone one."""
         op = eig_sum(identity_monotone())
         flat = ClassMWitness(name="flat", which="g1",
-                             eval_fn=lambda t, m: math.tanh(t),
+                             eval_fn=lambda t, m: math.tanh(t / 1000.0),
                              inv_at_zero_fn=lambda m: 0.0)
         _, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(3))
         cert = check_class_m(op, flat, g2, small_cfg())
         assert isinstance(cert, Certificate)
         assert cert.kind == "class_m.condition1"
+        assert set(cert.inequality_values) == {"low_end_gap", "high_end_gap"}
+        assert 0.0 < cert.margin <= 1e-6
+        cert.reverify()
 
     def test_condition2_discontinuous_inverse_certified(self):
         op = eig_sum(identity_monotone())

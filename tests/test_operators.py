@@ -156,6 +156,11 @@ class TestJetPoint:
         w = JetPoint([0.0, 0.0], 0.0, [1e200, 0.0])
         assert p_laplace_homog(4).evaluate(w, SymmetricMatrix.diagonal([1.0, 0.0])) == -3.0
 
+    def test_huge_gradient_keeps_the_homogeneous_inf_laplacian_finite(self):
+        """<X nu, nu> / <nu, nu> is read from nu/|nu| where the squares of nu overflow."""
+        w = JetPoint([0.0, 0.0], 0.0, [1e200, 0.0])
+        assert inf_laplace_homog().evaluate(w, SymmetricMatrix.diagonal([1.0, 0.0])) == -1.0
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(BadParams):
             JetPoint([0.0, 0.0], 0.0, [1.0])
