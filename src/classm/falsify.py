@@ -732,7 +732,7 @@ def _cert_bounded_h(dim: int = 3, h: MonotoneFunction | None = None) -> Certific
             raise ToolkitError("bounded H escaped its own bound; broken MonotoneFunction")
         rows.append({"c": sign * cmag, "neg_F": value,
                      "extreme_eigenvalue": sign * cmag})
-    c_last = sign * 2.0 ** 40
+    c_last = rows[-1]["c"]
     x_last = SymmetricMatrix(c_last * np.eye(dim))
     value_last = -op.evaluate(omega, x_last)
     return Certificate(
