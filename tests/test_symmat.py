@@ -95,11 +95,14 @@ class TestConstruction:
             finite = bool(np.all(np.isfinite(raw)))
             asym = float(np.max(np.abs(raw - raw.T))) if finite else None
             ok = finite and not asym > 1e-8 * float(np.max(np.abs(raw)))
-            expect = (raw + raw.T) / 2.0
         if not ok:
             with pytest.raises(InvalidMatrix):
                 SymmetricMatrix(raw)
             return
+        with np.errstate(over="ignore"):
+            # only a finite raw gets here, so the sum can overflow but not
+            # meet inf + -inf
+            expect = (raw + raw.T) / 2.0
         m = SymmetricMatrix(raw)
         assert m.asymmetry == asym
         if np.all(np.isfinite(expect)):
