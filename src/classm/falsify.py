@@ -162,23 +162,24 @@ def _rng(seed: int, phase: int, index: int) -> np.random.Generator:
 
 
 def _sym_draw(rng, n: int, scale: float) -> SymmetricMatrix:
-    raw = rng.uniform(-scale, scale, (n, n))
-    return SymmetricMatrix((raw + raw.T) / 2.0)
+    raw = rng.uniform(-scale, scale, (n, n))  # finite, since 2 * scale is
+    return SymmetricMatrix._symmetric((raw + raw.T) / 2.0)
 
 
 def _psd_draw(rng, n: int, scale: float) -> np.ndarray:
     p = rng.uniform(-scale, scale, (n, n))
-    return p.T @ p
+    with np.errstate(over="ignore"):  # P^T P overflows past scale ~1e153; pairs refuse the inf
+        return p.T @ p
 
 
 def _jet_draw(rng, n: int, scale: float) -> JetPoint:
     """x, r and nu in stream order; nu is redrawn, up to 64 draws, while |nu| < 1e-6."""
     head = rng.uniform(-scale, scale, 2 * n + 1)  # the doubles of three draws of n, 1 and n
-    x, r, nu = head[:n], float(head[n]), head[n + 1:]
+    x, r, nu = head[:n].copy(), float(head[n]), head[n + 1:].copy()
     for attempt in range(64):
         if attempt:
             nu = rng.uniform(-scale, scale, n)
-        omega = JetPoint(x, r, nu)
+        omega = JetPoint._of_finite(x, r, nu)
         if omega._nu_norm >= 1e-6:
             return omega
     raise SamplingExhausted("could not draw a usable gradient slot")
@@ -254,8 +255,8 @@ def check_degenerate_ellipticity(op: OperatorDescriptor, cfg: SampleConfig):
 
     def check(case, idx):
         omega, x, y = case
-        fx = op.evaluate(omega, x)
-        fy = op.evaluate(omega, y)
+        fx = op._value(omega, x)
+        fy = op._value(omega, y)
         if fx < fy - VIOLATION_MARGIN:
             return Certificate(
                 kind="ellipticity.violation",
@@ -307,19 +308,19 @@ def _class_u_probes(cfg: SampleConfig):
     return probes
 
 
-def _class_u_sides(op: OperatorDescriptor, omega: JetPoint, b: SymmetricMatrix,
-                   m: SymmetricMatrix, lam: float, h: float) -> tuple[float, float]:
-    """F(omega, B) - F(omega, M) and the gap lam tr(M - B) + H that it must meet."""
-    return op.evaluate(omega, b) - op.evaluate(omega, m), lam * (m.trace() - b.trace()) + h
+def _class_u_sides(f, omega: JetPoint, b: SymmetricMatrix, m: SymmetricMatrix, lam: float,
+                   h: float) -> tuple[float, float]:
+    """F(omega, B) - F(omega, M) by f = F, and the gap lam tr(M - B) + H that it must meet."""
+    return f(omega, b) - f(omega, m), lam * (m.trace() - b.trace()) + h
 
 
 def _class_u_certificate(op, omega, b, m, lam, h, sides, description, trial_index=None,
                          **extra) -> Certificate:
-    """The class_u.violation certificate for sides = _class_u_sides(op, omega, b, m, lam, h)."""
+    """The class_u.violation certificate for sides = _class_u_sides(F, omega, b, m, lam, h)."""
     lhs, rhs = sides
 
     def recheck():
-        lhs, rhs = _class_u_sides(op, omega, b, m, lam, h)
+        lhs, rhs = _class_u_sides(op.evaluate, omega, b, m, lam, h)
         return rhs - lhs
 
     return Certificate(
@@ -338,13 +339,12 @@ def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
     Certificate.
     """
     probes = _class_u_probes(cfg)
+    admits = lambda omega, b, m: op.in_domain(omega, b) and op.in_domain(omega, m)
 
-    def run_one(case, index):
+    def run_one(case, index):  # on a case inside the domain
         omega, b, m = case
-        if not (op.in_domain(omega, b) and op.in_domain(omega, m)):
-            return None
         h = float(w.H(omega))
-        sides = _class_u_sides(op, omega, b, m, w.lam, h)
+        sides = _class_u_sides(op._value, omega, b, m, w.lam, h)
         if sides[0] < sides[1] - VIOLATION_MARGIN:
             return _class_u_certificate(
                 op, omega, b, m, w.lam, h, sides,
@@ -356,12 +356,13 @@ def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
         omega = _jet_draw(rng, cfg.dim, cfg.scale)
         m = _sym_draw(rng, cfg.dim, cfg.scale)
         b = SymmetricMatrix(m.entries - _psd_draw(rng, cfg.dim, cfg.scale))
-        return (omega, b, m) if op.in_domain(omega, b) and op.in_domain(omega, m) else None
+        return (omega, b, m) if admits(omega, b, m) else None
 
     trial = (draw, lambda case, idx: run_one(case, len(probes) + idx),
              f"{op.name}: no admissible (B, M) in {RESAMPLE_CAP} draws")
     return _first_violation("class_u", cfg, {"operator": op.name, "witness": w.name},
-                            (run_one(case, index) for index, case in enumerate(probes)), [trial])
+                            (run_one(case, index) if admits(*case) else None
+                             for index, case in enumerate(probes)), [trial])
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +387,8 @@ def _in_domain_s(g: ClassMWitness, m: SymmetricMatrix) -> bool:
 
 
 def _condition1(g: ClassMWitness, m: SymmetricMatrix) -> Optional[Certificate]:
-    """Condition 1 at M: t -> g(t, M) rises strictly on _COND1_GRID and grows at its ends."""
-    vals = [g.evaluate(t, m) for t in _COND1_GRID]
+    """Condition 1 at M in g's domain: g(-, M) rises strictly on the grid and grows at its ends."""
+    vals = [g._value(t, m) for t in _COND1_GRID]
     for pos in range(len(vals) - 1):
         if not vals[pos + 1] > vals[pos]:
             ta, tb = _COND1_GRID[pos], _COND1_GRID[pos + 1]
@@ -449,9 +450,9 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
             if dscale == 0.0:
                 continue
             direction = direction.scaled(1.0 / dscale)
+            coarse = SymmetricMatrix(m.entries + 1e-2 * direction.entries)
+            fine = SymmetricMatrix(m.entries + 1e-5 * direction.entries)
             for g in (g1, g2):
-                coarse = SymmetricMatrix(m.entries + 1e-2 * direction.entries)
-                fine = SymmetricMatrix(m.entries + 1e-5 * direction.entries)
                 if not (_in_domain_s(g, m) and _in_domain_s(g, coarse) and _in_domain_s(g, fine)):
                     continue
                 base = g.inv_at_zero(m)
@@ -469,45 +470,28 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                         - 0.75 * abs(g.inv_at_zero(coarse) - g.inv_at_zero(m)),
                 )
 
-    def cond3_check(case, index):
-        x, m = case
-        if not (_in_domain_s(g1, m) and op.in_domain(omega1, x)):
-            return None
-        lhs = -op.evaluate(omega1, x)
-        rhs = g1.evaluate(float(x.eigenvalues()[0]), m)
-        if lhs > rhs + VIOLATION_MARGIN:
-            return Certificate(
-                kind="class_m.condition3",
-                witnesses={"omega": omega1, "X": x, "M": m,
-                           "operator": op.name, "witness": g1.name},
-                inequality_values={"neg_F": lhs, "g1_at_lambda1": rhs},
-                margin=lhs - rhs,
-                trial_index=index,
-                description="X <= M but -F(omega, X) > g1(lambda_1(X), M)",
-                recheck=lambda: (-op.evaluate(omega1, x)
-                                 - g1.evaluate(float(x.eigenvalues()[0]), m)),
-            )
-        return None
+    def side(cond, g, omega, at, matrix, value_key, sign, description):
+        """(admits, check) for condition 3 (sign 1) or 4 (sign -1) on pairs (Z, M)."""
+        admits = lambda z, m: _in_domain_s(g, m) and op.in_domain(omega, z)
 
-    def cond4_check(case, index):
-        y, m = case
-        if not (_in_domain_s(g2, m) and op.in_domain(omega2, y)):
-            return None
-        lhs = -op.evaluate(omega2, y)
-        rhs = g2.evaluate(float(y.eigenvalues()[-1]), m)
-        if lhs < rhs - VIOLATION_MARGIN:
-            return Certificate(
-                kind="class_m.condition4",
-                witnesses={"omega": omega2, "Y": y, "M": m,
-                           "operator": op.name, "witness": g2.name},
-                inequality_values={"neg_F": lhs, "g2_at_lambdaN": rhs},
-                margin=rhs - lhs,
-                trial_index=index,
-                description="-Y <= M but -F(omega, Y) < g2(lambda_N(Y), M)",
-                recheck=lambda: (g2.evaluate(float(y.eigenvalues()[-1]), m)
-                                 - (-op.evaluate(omega2, y))),
-            )
-        return None
+        def check(case, index):
+            z, m = case
+            lhs = -op._value(omega, z)
+            rhs = g._value(float(z.eigenvalues()[at]), m)
+            return None if not sign * lhs > sign * rhs + VIOLATION_MARGIN else Certificate(
+                kind=f"class_m.condition{cond}",
+                witnesses={"omega": omega, matrix: z, "M": m,
+                           "operator": op.name, "witness": g.name},
+                inequality_values={"neg_F": lhs, value_key: rhs},
+                margin=sign * lhs - sign * rhs, trial_index=index, description=description,
+                recheck=lambda: (sign * -op.evaluate(omega, z)
+                                 - sign * g.evaluate(float(z.eigenvalues()[at]), m)))
+        return admits, check
+
+    admits3, check3 = side(3, g1, omega1, 0, "X", "g1_at_lambda1", 1.0,
+                           "X <= M but -F(omega, X) > g1(lambda_1(X), M)")
+    admits4, check4 = side(4, g2, omega2, -1, "Y", "g2_at_lambdaN", -1.0,
+                           "-Y <= M but -F(omega, Y) < g2(lambda_N(Y), M)")
 
     # Deterministic divergence ladder: lambda_1(X) walks to -infinity along
     # fixed constructions while each pair stays ordered (X <= M exactly).
@@ -522,21 +506,22 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                 rung.append((_double_spike(n, c), identity))
                 rung.append((_ones_tail(n, -c), identity))
             for x, m in rung:
-                yield cond3_check((x, m), None) or cond4_check((x.negated(), m), None)
+                yield ((check3((x, m), None) if admits3(x, m) else None)
+                       or (check4((x.negated(), m), None) if admits4(x.negated(), m) else None))
 
     # Random ordered pairs: X <= M, then -M <= Y with M redrawn outside g2's domain.
     def draw3(rng, _carried):
         m = _sym_draw(rng, n, cfg.scale)
         x = SymmetricMatrix(m.entries - _psd_draw(rng, n, cfg.scale))
-        return (x, m) if _in_domain_s(g1, m) and op.in_domain(omega1, x) else None
+        return (x, m) if admits3(x, m) else None
 
     def draw4(rng, carried):
         m = carried[1] if carried is not None else _sym_draw(rng, n, cfg.scale)
         y = SymmetricMatrix(_psd_draw(rng, n, cfg.scale) - m.entries)
-        return (y, m) if _in_domain_s(g2, m) and op.in_domain(omega2, y) else None
+        return (y, m) if admits4(y, m) else None
 
-    stages = [(draw3, cond3_check, "no admissible (X, M) pair for condition 3"),
-              (draw4, cond4_check, "no admissible (Y, M) pair for condition 4")]
+    stages = [(draw3, check3, "no admissible (X, M) pair for condition 3"),
+              (draw4, check4, "no admissible (Y, M) pair for condition 4")]
     return _first_violation("class_m", cfg, {"operator": op.name, "g1": g1.name, "g2": g2.name},
                             itertools.chain(condition1, condition2(), ladder()), stages)
 
@@ -657,7 +642,7 @@ def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
     for j in range(0, 120):
         n = 2.0 ** j
         x = SymmetricMatrix.diagonal([-n] + [-1.0 / n] * (dim - 1))
-        sides = _class_u_sides(op, omega, x, zero, lam, k_const)
+        sides = _class_u_sides(op.evaluate, omega, x, zero, lam, k_const)
         if sides[0] < sides[1] - max(VIOLATION_MARGIN, 1e-8 * abs(sides[1])):
             return _class_u_certificate(
                 op, omega, x, zero, lam, k_const, sides,
@@ -696,7 +681,7 @@ def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
     tail[-1] = ell
     y = SymmetricMatrix.diagonal(tail)
     x = SymmetricMatrix.zero(dim)
-    sides = _class_u_sides(op, omega, x, y, lam, h_val)
+    sides = _class_u_sides(op.evaluate, omega, x, y, lam, h_val)
     if not sides[0] < sides[1] - VIOLATION_MARGIN:  # the rounded |c|^(p-2) sits too close to lam
         raise BadParams(f"|c|^(p-2) = {realised!r} leaves no gap for lam={lam}, H={h_val}")
     return _class_u_certificate(

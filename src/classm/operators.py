@@ -58,18 +58,23 @@ class JetPoint:
         if x.ndim != 1 or nu.ndim != 1 or x.shape != nu.shape:
             raise BadParams(f"x and nu must be vectors of equal length, got {x.shape} and {nu.shape}")
         r = float(self.r)
-        nu_list = nu.tolist()
-        if not all(map(math.isfinite, x.tolist() + nu_list + [r])):
+        if not all(map(math.isfinite, x.tolist() + nu.tolist() + [r])):
             raise BadParams("jet point components must be finite")
+        self._store(x, r, nu)
+
+    def _store(self, x: np.ndarray, r: float, nu: np.ndarray) -> "JetPoint":
+        norm = math.hypot(*nu.tolist())
+        if 1e-150 < norm < 1e150:  # numpy's sum of squares neither overflows nor underflows
+            norm = math.sqrt(nu.dot(nu))  # np.linalg.norm(nu), bit for bit, without its checks
         x.setflags(write=False)
         nu.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "nu", nu)
-        norm = math.hypot(*nu_list)
-        if 1e-150 < norm < 1e150:  # numpy's sum of squares neither overflows nor underflows
-            norm = float(np.linalg.norm(nu))
-        object.__setattr__(self, "_nu_norm", norm)
+        self.__dict__.update(x=x, r=r, nu=nu, _nu_norm=norm)
+        return self
+
+    @classmethod
+    def _of_finite(cls, x: np.ndarray, r: float, nu: np.ndarray) -> "JetPoint":
+        """The jet point of new finite float vectors x, nu of one length and float r, unchecked."""
+        return cls.__new__(cls)._store(x, r, nu)
 
     @property
     def dim(self) -> int:
@@ -157,6 +162,10 @@ class OperatorDescriptor:
     def evaluate(self, w: JetPoint, x: SymmetricMatrix) -> float:
         if not self.in_domain(w, x):
             raise OutOfDomain(f"{self.name}: ({w!r}, matrix dim {x.dim}) is outside the domain")
+        return self._value(w, x)
+
+    def _value(self, w: JetPoint, x: SymmetricMatrix) -> float:
+        """F(w, x) at a case the caller has already found inside the domain."""
         return _finite(self.name, self.raw_evaluate, w, x)
 
 

@@ -127,11 +127,11 @@ class SymmetricMatrix:
     Construction symmetrizes via (M + M^T)/2 and records the raw asymmetry;
     inputs with asymmetry above ``ASYMMETRY_REL_TOL * max|entry|`` or any
     non-finite entry are rejected. The stored array is read only and exactly
-    symmetric. Eigenvalues and the full spectrum are computed lazily and
-    cached, which is safe because the value never changes.
+    symmetric. Eigenvalues, the full spectrum and the negation are computed
+    lazily and cached, which is safe because the value never changes.
     """
 
-    __slots__ = ("dim", "entries", "asymmetry", "_evals", "_spectrum")
+    __slots__ = ("dim", "entries", "asymmetry", "_evals", "_spectrum", "_negation")
 
     def __init__(self, entries):
         arr = np.asarray(entries, dtype=float)
@@ -156,12 +156,18 @@ class SymmetricMatrix:
                 with np.errstate(over="ignore"):
                     total = arr + arr.T
                 sym = np.where(np.isinf(total), arr * 0.5 + arr.T * 0.5, total / 2.0)
+        self._store(sym, asym)
+
+    def _store(self, sym: np.ndarray, asym: float) -> "SymmetricMatrix":
         sym.setflags(write=False)
-        self.dim = int(arr.shape[0])
-        self.entries = sym
-        self.asymmetry = asym
-        self._evals = None
-        self._spectrum = None
+        self.dim, self.entries, self.asymmetry = sym.shape[0], sym, asym
+        self._evals = self._spectrum = self._negation = None
+        return self
+
+    @classmethod
+    def _symmetric(cls, sym: np.ndarray) -> "SymmetricMatrix":
+        """The matrix of a new finite float array that is symmetric bit for bit, unchecked."""
+        return cls.__new__(cls)._store(sym, 0.0)
 
     @classmethod
     def identity(cls, n: int) -> "SymmetricMatrix":
@@ -179,10 +185,12 @@ class SymmetricMatrix:
         return SymmetricMatrix(self.entries * float(factor))
 
     def negated(self) -> "SymmetricMatrix":
-        return SymmetricMatrix(-self.entries)
+        if self._negation is None:
+            self._negation = SymmetricMatrix._symmetric(-self.entries)
+        return self._negation
 
     def trace(self) -> float:
-        return float(np.trace(self.entries))
+        return float(self.entries.trace())
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues (cached; vectors are not accumulated)."""

@@ -94,6 +94,7 @@ class TestExitCodes:
         ["check-ellipticity", "--op", P3, "--dim", "2", "--scale", "1e308"],
         ["sums-demo", "--alpha", "1e308", "--dim", "2", "--op", P3],
         ["check-ellipticity", "--op", P3, "--dim", "2", "--scale", "1e200"],
+        ["check-class-u", "--op", LIN, "--dim", "2", "--scale", "1e200"],
         ["counterexample", "--name", "p_laplace_not_u", "--p", "1e308"],
         ["counterexample", "--name", "p_laplace_not_u", "--p", "1.999999999"],
         ["counterexample", "--name", "p_laplace_not_u", "--p", "1e16", "--lam", "0.5",

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from classm import (
     PassReport,
     SampleConfig,
     SamplingExhausted,
+    SymmetricMatrix,
     arctan_monotone,
     auto_witness_pair,
     check_class_m,
@@ -28,12 +30,13 @@ from classm import (
     eig_sum,
     identity_monotone,
     inf_laplace,
+    k_hessian,
     linear_uniform,
     p_laplace,
     unit_jet,
     witness_p_laplace,
 )
-from classm.errors import BadArgument, NonFiniteValue, ToolkitError
+from classm.errors import BadArgument, InvalidMatrix, NonFiniteValue, ToolkitError
 from classm import falsify
 from classm.falsify import _flat_divergence, _jet_draw, _ones_tail, _rng
 from conftest import brute_sk
@@ -102,7 +105,8 @@ class TestTrialStreams:
             else:
                 got = _jet_draw(got_rng, n, scale)
                 assert got.x.tobytes() == ref.x.tobytes() and got.r == ref.r
-                assert got.nu.tobytes() == ref.nu.tobytes()
+                assert got.nu.tobytes() == ref.nu.tobytes() and got._nu_norm == ref._nu_norm
+                assert not (got.x.flags.writeable or got.nu.flags.writeable)
                 first = _rng(seed, 1, 0).uniform(-scale, scale, 2 * n + 1)[n + 1:]
                 outcomes.add("retried" if np.linalg.norm(first) < 1e-6 else "first")
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -533,3 +537,63 @@ def test_every_stream_opens_inside_the_driver(monkeypatch, case):
     monkeypatch.setattr(falsify, "_first_violation", counted_driver)
     PASS_GOLDEN[case][0]()
     assert opened and all(opened)
+
+
+class TestWorkCounts:
+    """Each sampled case is domain-checked once, by its draw, and -M is built and solved
+    once per M. The counts are exact at seed 0."""
+
+    @staticmethod
+    def _counted(op):
+        decided = []
+
+        def in_domain(w, x):
+            decided.append((w, x))  # keeps each case alive, so ids stay unique
+            return op.in_domain(w, x)
+
+        return dataclasses.replace(op, in_domain=in_domain), decided
+
+    # k_hessian(2) redraws X until it lies in Gamma_2; Y = X + P^T P always does
+    @pytest.mark.parametrize("make_op,draws,decisions", [
+        (lambda: k_hessian(2), 2126, 2126 + 200), (lambda: p_laplace(4), 200, 2 * 200)])
+    def test_one_domain_decision_per_case(self, monkeypatch, make_op, draws, decisions):
+        op, decided = self._counted(make_op())
+        sym_draw, drawn = falsify._sym_draw, []
+        monkeypatch.setattr(falsify, "_sym_draw", lambda *a: drawn.append(1) or sym_draw(*a))
+        rep = check_degenerate_ellipticity(op, SampleConfig(seed=0, trials=200, dim=3))
+        assert isinstance(rep, PassReport)
+        assert (len(drawn), len(decided)) == (draws, decisions)
+        assert len({(id(w), id(x)) for w, x in decided}) == decisions
+
+    def test_negation_is_solved_once_per_matrix(self, monkeypatch):
+        op = eig_sum(identity_monotone())
+        g1, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(3))
+        negations, solved = {}, []
+        negated, eigenvalues = SymmetricMatrix.negated, SymmetricMatrix.eigenvalues
+
+        def counted_negated(m):
+            neg = negated(m)
+            negations[id(neg)] = (m, neg)
+            return neg
+
+        def counted_eigenvalues(m):
+            if m._evals is None and m._spectrum is None:
+                solved.append(m)
+            return eigenvalues(m)
+
+        monkeypatch.setattr(SymmetricMatrix, "negated", counted_negated)
+        monkeypatch.setattr(SymmetricMatrix, "eigenvalues", counted_eigenvalues)
+        rep = check_class_m(op, g1, g2, SampleConfig(seed=0, trials=100, dim=3))
+        assert isinstance(rep, PassReport)
+        solves_per_m = Counter(id(negations[id(s)][0]) for s in solved if id(s) in negations)
+        assert len(negations) == len(solves_per_m) == 346
+        assert set(solves_per_m.values()) == {1}
+
+
+def test_overflowing_sampled_pairs_are_refused():
+    """At scale 1e200, X + P^T P overflows: the full check refuses it, not a report."""
+    cfg = SampleConfig(seed=0, trials=10, dim=3, scale=1e200)
+    with pytest.raises(InvalidMatrix):
+        check_degenerate_ellipticity(p_laplace(4), cfg)
+    with pytest.raises(InvalidMatrix):
+        check_class_u(linear_uniform(1.0), class_u_constant(1.0), cfg)

@@ -161,6 +161,25 @@ class TestJetPoint:
         w = JetPoint([0.0, 0.0], 0.0, [1e200, 0.0])
         assert inf_laplace_homog().evaluate(w, SymmetricMatrix.diagonal([1.0, 0.0])) == -1.0
 
+    # |nu| at the draws' redraw threshold, on both edges of the (1e-150, 1e150) band where
+    # numpy's norm takes over from math.hypot, and well inside and outside it
+    @pytest.mark.parametrize("norm", [1e-6, 1e-150 * (1 - 2e-16), 1e-150, 1e-150 * (1 + 4e-16),
+                                      1e150 * (1 - 2e-16), 1e150, 1e150 * (1 + 4e-16),
+                                      1.0, 1e-300, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_unchecked_construction_matches_the_checked_one(self, n, norm):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x, r = rng.uniform(-1.0, 1.0, n), float(rng.uniform(-1.0, 1.0))
+            direction = rng.normal(size=n)
+            nu = direction * (norm / math.hypot(*direction.tolist()))
+            got = JetPoint._of_finite(x.copy(), r, nu.copy())
+            ref = JetPoint(x, r, nu)
+            assert got.x.tobytes() == ref.x.tobytes() and got.nu.tobytes() == ref.nu.tobytes()
+            assert (got.r, got._nu_norm) == (ref.r, ref._nu_norm) and type(got.r) is float
+            assert not (got.x.flags.writeable or got.nu.flags.writeable)
+            assert not (ref.x.flags.writeable or ref.nu.flags.writeable)
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(BadParams):
             JetPoint([0.0, 0.0], 0.0, [1.0])

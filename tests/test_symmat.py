@@ -110,6 +110,46 @@ class TestConstruction:
         assert np.all(np.isfinite(m.entries))
 
 
+class TestUncheckedConstruction:
+    """The symmetrised draws and negations that skip __init__'s checks store exactly what
+    __init__ stores for the same array."""
+
+    @staticmethod
+    def _assert_same(got, ref):
+        assert got.dim == ref.dim and got.entries.dtype == ref.entries.dtype
+        assert got.entries.tobytes() == ref.entries.tobytes()
+        assert got.asymmetry == ref.asymmetry == 0.0
+        assert not got.entries.flags.writeable and not ref.entries.flags.writeable
+        assert got.eigenvalues().tobytes() == ref.eigenvalues().tobytes()
+
+    @staticmethod
+    def _symmetrised(rng, n, scale):
+        raw = rng.uniform(-scale, scale, (n, n))
+        raw[rng.random((n, n)) < 0.25] = -0.0  # signed zeros, mirrored or not
+        raw[rng.random((n, n)) < 0.25] = 0.0
+        return (raw + raw.T) / 2.0
+
+    # 1.75 * 2^1022 is the largest scale whose width 2 * scale a SampleConfig accepts
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e200, 1.75 * 2.0 ** 1022])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_the_checked_constructor(self, n, scale):
+        rng = np.random.default_rng(1000 * n + 7)
+        for _ in range(3):
+            sym = self._symmetrised(rng, n, scale)
+            got, ref = SymmetricMatrix._symmetric(sym.copy()), SymmetricMatrix(sym)
+            self._assert_same(got, ref)
+            self._assert_same(got.negated(), SymmetricMatrix(-sym))
+            assert got.negated() is got.negated() and ref.negated() is ref.negated()
+
+    def test_entries_near_the_float_limit(self):
+        big = 2.0 ** 1023 * (1.0 - 2.0 ** -52)  # the largest double
+        sym = np.array([[big, -big, 0.0], [-big, -0.0, big], [0.0, big, -big]])
+        got = SymmetricMatrix._symmetric(sym.copy())
+        self._assert_same(got, SymmetricMatrix(sym))
+        self._assert_same(got.negated(), SymmetricMatrix(-sym))
+        assert np.signbit(got.entries[1, 1]) and not np.signbit(got.negated().entries[1, 1])
+
+
 class TestEigen:
     def test_diagonal_sorted(self):
         s = eigen_decompose(SymmetricMatrix.diagonal([3.0, 1.0, 2.0]))
