@@ -179,7 +179,6 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
     n = a.dim_half
     amat = a.assemble().entries
     a2 = amat @ amat
-    norm_a = operator_norm(a.assemble())
     eye = np.eye(n)
     slack_eye = slack * eye
     pairs = []
@@ -191,8 +190,11 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
         sigma_eye = _sigma_max(w12) * eye
         x = SymmetricMatrix(w11.entries - sigma_eye - slack_eye)
         neg_y = SymmetricMatrix(w22.entries - sigma_eye - slack_eye)
-        floor = -(1.0 / eps + norm_a)
-        if not all(_lambda1_at_least(m, floor - EQ1_TOL) for m in (x, neg_y)):
+        # fl(1/eps) <= fl(1/eps + ||A||), so blocks that clear -1/eps need no ||A||
+        clears = lambda norm: all(_lambda1_at_least(m, -(1.0 / eps + norm) - EQ1_TOL)
+                                  for m in (x, neg_y))
+        if not clears(0.0) and not clears(norm_a := operator_norm(a.assemble())):
+            floor = -(1.0 / eps + norm_a)
             lowest = min(float(x.eigenvalues()[0]), float(neg_y.eigenvalues()[0]))
             raise SlackTooLarge(
                 f"recentered blocks fall below the -(1/eps + ||A||) floor at eps = {eps:g} "
@@ -204,23 +206,21 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
 
 
 def _eq1_terms(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix):
-    """(diag(X, -Y), A + eps A^2 - diag(X, -Y), 1/eps + ||A||).
-
-    The two-sided inequality holds iff lambda_1 of the first plus the third
-    and lambda_1 of the second are both >= 0.
-    """
+    """(diag(X, -Y), A + eps A^2 - diag(X, -Y), A): the two-sided inequality holds iff
+    lambda_1 of the first plus 1/eps + ||A|| and lambda_1 of the second are both >= 0."""
     n = a.dim_half
     amat = a.assemble()
     w = SymmetricMatrix(amat.entries + eps * (amat.entries @ amat.entries))
     diag = block_compose(x, np.zeros((n, n)), y.negated()).assemble()
-    return diag, SymmetricMatrix(w.entries - diag.entries), 1.0 / eps + operator_norm(amat)
+    return diag, SymmetricMatrix(w.entries - diag.entries), amat
 
 
 def _eq1_margins(a: BlockMatrix2N, eps: float, x: SymmetricMatrix,
                  y: SymmetricMatrix) -> tuple[float, float]:
     """lambda_1(diag(X, -Y)) + 1/eps + ||A|| and lambda_1(A + eps A^2 - diag(X, -Y))."""
-    diag, gap, floor = _eq1_terms(a, eps, x, y)
-    return float(diag.eigenvalues()[0]) + floor, float(gap.eigenvalues()[0])
+    diag, gap, amat = _eq1_terms(a, eps, x, y)
+    return (float(diag.eigenvalues()[0]) + (1.0 / eps + operator_norm(amat)),
+            float(gap.eigenvalues()[0]))
 
 
 def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix) -> bool:
@@ -230,8 +230,11 @@ def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMat
     n = a.dim_half
     if x.dim != n or y.dim != n:
         raise DimMismatch(f"pair dims ({x.dim}, {y.dim}) do not match blocks dim {n}")
-    diag, gap, floor = _eq1_terms(a, eps, x, y)
-    return _lambda1_at_least(diag, -EQ1_TOL, floor) and _lambda1_at_least(gap, -EQ1_TOL)
+    diag, gap, amat = _eq1_terms(a, eps, x, y)
+    # fl(1/eps) <= fl(1/eps + ||A||), so a diag(X, -Y) that clears -1/eps needs no ||A||
+    return ((_lambda1_at_least(diag, -EQ1_TOL, 1.0 / eps)
+             or _lambda1_at_least(diag, -EQ1_TOL, 1.0 / eps + operator_norm(amat)))
+            and _lambda1_at_least(gap, -EQ1_TOL))
 
 
 def _upper_bounds(a: BlockMatrix2N, eps0: float):
