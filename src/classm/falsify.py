@@ -168,7 +168,7 @@ def _sym_draw(rng, n: int, scale: float) -> SymmetricMatrix:
 
 def _psd_draw(rng, n: int, scale: float) -> np.ndarray:
     p = rng.uniform(-scale, scale, (n, n))
-    with np.errstate(over="ignore"):  # P^T P overflows past scale ~1e153; pairs refuse the inf
+    with np.errstate(over="ignore", invalid="ignore"):  # past scale ~1e153; pairs refuse it
         return p.T @ p
 
 
@@ -255,8 +255,8 @@ def check_degenerate_ellipticity(op: OperatorDescriptor, cfg: SampleConfig):
 
     def check(case, idx):
         omega, x, y = case
-        fx = op._value(omega, x)
-        fy = op._value(omega, y)
+        fx = op.evaluate(omega, x, checked=False)
+        fy = op.evaluate(omega, y, checked=False)
         if fx < fy - VIOLATION_MARGIN:
             return Certificate(
                 kind="ellipticity.violation",
@@ -308,19 +308,21 @@ def _class_u_probes(cfg: SampleConfig):
     return probes
 
 
-def _class_u_sides(f, omega: JetPoint, b: SymmetricMatrix, m: SymmetricMatrix, lam: float,
-                   h: float) -> tuple[float, float]:
-    """F(omega, B) - F(omega, M) by f = F, and the gap lam tr(M - B) + H that it must meet."""
-    return f(omega, b) - f(omega, m), lam * (m.trace() - b.trace()) + h
+def _class_u_sides(op: OperatorDescriptor, omega: JetPoint, b: SymmetricMatrix,
+                   m: SymmetricMatrix, lam: float, h: float,
+                   checked: bool = True) -> tuple[float, float]:
+    """F(omega, B) - F(omega, M) and the gap lam tr(M - B) + H that it must meet."""
+    return (op.evaluate(omega, b, checked=checked) - op.evaluate(omega, m, checked=checked),
+            lam * (m.trace() - b.trace()) + h)
 
 
 def _class_u_certificate(op, omega, b, m, lam, h, sides, description, trial_index=None,
                          **extra) -> Certificate:
-    """The class_u.violation certificate for sides = _class_u_sides(F, omega, b, m, lam, h)."""
+    """The class_u.violation certificate for sides = _class_u_sides(op, omega, b, m, lam, h)."""
     lhs, rhs = sides
 
     def recheck():
-        lhs, rhs = _class_u_sides(op.evaluate, omega, b, m, lam, h)
+        lhs, rhs = _class_u_sides(op, omega, b, m, lam, h)
         return rhs - lhs
 
     return Certificate(
@@ -344,7 +346,7 @@ def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
     def run_one(case, index):  # on a case inside the domain
         omega, b, m = case
         h = float(w.H(omega))
-        sides = _class_u_sides(op._value, omega, b, m, w.lam, h)
+        sides = _class_u_sides(op, omega, b, m, w.lam, h, checked=False)
         if sides[0] < sides[1] - VIOLATION_MARGIN:
             return _class_u_certificate(
                 op, omega, b, m, w.lam, h, sides,
@@ -388,7 +390,7 @@ def _in_domain_s(g: ClassMWitness, m: SymmetricMatrix) -> bool:
 
 def _condition1(g: ClassMWitness, m: SymmetricMatrix) -> Optional[Certificate]:
     """Condition 1 at M in g's domain: g(-, M) rises strictly on the grid and grows at its ends."""
-    vals = [g._value(t, m) for t in _COND1_GRID]
+    vals = [g.evaluate(t, m, checked=False) for t in _COND1_GRID]
     for pos in range(len(vals) - 1):
         if not vals[pos + 1] > vals[pos]:
             ta, tb = _COND1_GRID[pos], _COND1_GRID[pos + 1]
@@ -470,28 +472,45 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                         - 0.75 * abs(g.inv_at_zero(coarse) - g.inv_at_zero(m)),
                 )
 
-    def side(cond, g, omega, at, matrix, value_key, sign, description):
-        """(admits, check) for condition 3 (sign 1) or 4 (sign -1) on pairs (Z, M)."""
-        admits = lambda z, m: _in_domain_s(g, m) and op.in_domain(omega, z)
+    # The draws and the ladder decide each pair's domain once, so the checks skip it.
+    admits3 = lambda x, m: _in_domain_s(g1, m) and op.in_domain(omega1, x)
+    admits4 = lambda y, m: _in_domain_s(g2, m) and op.in_domain(omega2, y)
 
-        def check(case, index):
-            z, m = case
-            lhs = -op._value(omega, z)
-            rhs = g._value(float(z.eigenvalues()[at]), m)
-            return None if not sign * lhs > sign * rhs + VIOLATION_MARGIN else Certificate(
-                kind=f"class_m.condition{cond}",
-                witnesses={"omega": omega, matrix: z, "M": m,
-                           "operator": op.name, "witness": g.name},
-                inequality_values={"neg_F": lhs, value_key: rhs},
-                margin=sign * lhs - sign * rhs, trial_index=index, description=description,
-                recheck=lambda: (sign * -op.evaluate(omega, z)
-                                 - sign * g.evaluate(float(z.eigenvalues()[at]), m)))
-        return admits, check
+    def cond3_check(case, index):
+        x, m = case
+        lhs = -op.evaluate(omega1, x, checked=False)
+        rhs = g1.evaluate(float(x.eigenvalues()[0]), m, checked=False)
+        if lhs > rhs + VIOLATION_MARGIN:
+            return Certificate(
+                kind="class_m.condition3",
+                witnesses={"omega": omega1, "X": x, "M": m,
+                           "operator": op.name, "witness": g1.name},
+                inequality_values={"neg_F": lhs, "g1_at_lambda1": rhs},
+                margin=lhs - rhs,
+                trial_index=index,
+                description="X <= M but -F(omega, X) > g1(lambda_1(X), M)",
+                recheck=lambda: (-op.evaluate(omega1, x)
+                                 - g1.evaluate(float(x.eigenvalues()[0]), m)),
+            )
+        return None
 
-    admits3, check3 = side(3, g1, omega1, 0, "X", "g1_at_lambda1", 1.0,
-                           "X <= M but -F(omega, X) > g1(lambda_1(X), M)")
-    admits4, check4 = side(4, g2, omega2, -1, "Y", "g2_at_lambdaN", -1.0,
-                           "-Y <= M but -F(omega, Y) < g2(lambda_N(Y), M)")
+    def cond4_check(case, index):
+        y, m = case
+        lhs = -op.evaluate(omega2, y, checked=False)
+        rhs = g2.evaluate(float(y.eigenvalues()[-1]), m, checked=False)
+        if lhs < rhs - VIOLATION_MARGIN:
+            return Certificate(
+                kind="class_m.condition4",
+                witnesses={"omega": omega2, "Y": y, "M": m,
+                           "operator": op.name, "witness": g2.name},
+                inequality_values={"neg_F": lhs, "g2_at_lambdaN": rhs},
+                margin=rhs - lhs,
+                trial_index=index,
+                description="-Y <= M but -F(omega, Y) < g2(lambda_N(Y), M)",
+                recheck=lambda: (g2.evaluate(float(y.eigenvalues()[-1]), m)
+                                 - (-op.evaluate(omega2, y))),
+            )
+        return None
 
     # Deterministic divergence ladder: lambda_1(X) walks to -infinity along
     # fixed constructions while each pair stays ordered (X <= M exactly).
@@ -506,8 +525,9 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                 rung.append((_double_spike(n, c), identity))
                 rung.append((_ones_tail(n, -c), identity))
             for x, m in rung:
-                yield ((check3((x, m), None) if admits3(x, m) else None)
-                       or (check4((x.negated(), m), None) if admits4(x.negated(), m) else None))
+                yield ((cond3_check((x, m), None) if admits3(x, m) else None)
+                       or (cond4_check((x.negated(), m), None) if admits4(x.negated(), m)
+                           else None))
 
     # Random ordered pairs: X <= M, then -M <= Y with M redrawn outside g2's domain.
     def draw3(rng, _carried):
@@ -520,8 +540,8 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
         y = SymmetricMatrix(_psd_draw(rng, n, cfg.scale) - m.entries)
         return (y, m) if admits4(y, m) else None
 
-    stages = [(draw3, check3, "no admissible (X, M) pair for condition 3"),
-              (draw4, check4, "no admissible (Y, M) pair for condition 4")]
+    stages = [(draw3, cond3_check, "no admissible (X, M) pair for condition 3"),
+              (draw4, cond4_check, "no admissible (Y, M) pair for condition 4")]
     return _first_violation("class_m", cfg, {"operator": op.name, "g1": g1.name, "g2": g2.name},
                             itertools.chain(condition1, condition2(), ladder()), stages)
 
@@ -642,7 +662,7 @@ def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
     for j in range(0, 120):
         n = 2.0 ** j
         x = SymmetricMatrix.diagonal([-n] + [-1.0 / n] * (dim - 1))
-        sides = _class_u_sides(op.evaluate, omega, x, zero, lam, k_const)
+        sides = _class_u_sides(op, omega, x, zero, lam, k_const)
         if sides[0] < sides[1] - max(VIOLATION_MARGIN, 1e-8 * abs(sides[1])):
             return _class_u_certificate(
                 op, omega, x, zero, lam, k_const, sides,
@@ -681,7 +701,7 @@ def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
     tail[-1] = ell
     y = SymmetricMatrix.diagonal(tail)
     x = SymmetricMatrix.zero(dim)
-    sides = _class_u_sides(op.evaluate, omega, x, y, lam, h_val)
+    sides = _class_u_sides(op, omega, x, y, lam, h_val)
     if not sides[0] < sides[1] - VIOLATION_MARGIN:  # the rounded |c|^(p-2) sits too close to lam
         raise BadParams(f"|c|^(p-2) = {realised!r} leaves no gap for lam={lam}, H={h_val}")
     return _class_u_certificate(

@@ -65,7 +65,7 @@ class JetPoint:
     def _store(self, x: np.ndarray, r: float, nu: np.ndarray) -> "JetPoint":
         norm = math.hypot(*nu.tolist())
         if 1e-150 < norm < 1e150:  # numpy's sum of squares neither overflows nor underflows
-            norm = math.sqrt(nu.dot(nu))  # np.linalg.norm(nu), bit for bit, without its checks
+            norm = float(np.linalg.norm(nu))
         x.setflags(write=False)
         nu.setflags(write=False)
         self.__dict__.update(x=x, r=r, nu=nu, _nu_norm=norm)
@@ -159,13 +159,10 @@ class OperatorDescriptor:
     in_domain: Callable[[JetPoint, SymmetricMatrix], bool] = field(repr=False)
     raw_evaluate: Callable[[JetPoint, SymmetricMatrix], float] = field(repr=False)
 
-    def evaluate(self, w: JetPoint, x: SymmetricMatrix) -> float:
-        if not self.in_domain(w, x):
+    def evaluate(self, w: JetPoint, x: SymmetricMatrix, *, checked: bool = True) -> float:
+        """F(w, x); ``checked=False`` skips the domain check for a caller that made it."""
+        if checked and not self.in_domain(w, x):
             raise OutOfDomain(f"{self.name}: ({w!r}, matrix dim {x.dim}) is outside the domain")
-        return self._value(w, x)
-
-    def _value(self, w: JetPoint, x: SymmetricMatrix) -> float:
-        """F(w, x) at a case the caller has already found inside the domain."""
         return _finite(self.name, self.raw_evaluate, w, x)
 
 

@@ -190,7 +190,7 @@ class SymmetricMatrix:
         return self._negation
 
     def trace(self) -> float:
-        return float(self.entries.trace())
+        return float(np.trace(self.entries))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues (cached; vectors are not accumulated)."""

@@ -87,12 +87,10 @@ class ClassMWitness:
         if not self.domain_S(m):
             raise OutOfDomain(f"{self.name}: matrix is outside this witness's domain")
 
-    def evaluate(self, t: float, m: SymmetricMatrix) -> float:
-        self._gate(m)
-        return self._value(t, m)
-
-    def _value(self, t: float, m: SymmetricMatrix) -> float:
-        """g(t, M) at an M the caller has already found inside the domain."""
+    def evaluate(self, t: float, m: SymmetricMatrix, *, checked: bool = True) -> float:
+        """g(t, M); ``checked=False`` skips the domain gate for a caller that passed it."""
+        if checked:
+            self._gate(m)
         return _finite(self.name, self.eval_fn, float(t), m)
 
     def inv_at_zero(self, m: SymmetricMatrix) -> float:
@@ -130,23 +128,23 @@ def class_u_to_class_m(op: OperatorDescriptor, w: ClassUWitness,
       g1(-, M)^{-1}(0) = (H(omega) + F(omega, M)) / lam + lambda_1(M)
       g2(-, M)^{-1}(0) = (F(omega, -M) - H(omega)) / lam - lambda_1(M).
 
-    Either member raises OutOfDomain outside op's domain, which is its own,
-    before it runs; so it evaluates F without a second domain check.
+    Matrices outside op's domain raise OutOfDomain when either member is
+    evaluated (the witness domain is exactly where F itself is defined).
     """
     lam = w.lam
     h_val = float(w.H(omega))
 
     def g1_eval(t, m):
-        return lam * t - lam * float(m.eigenvalues()[0]) - h_val - op._value(omega, m)
+        return lam * t - lam * float(m.eigenvalues()[0]) - h_val - op.evaluate(omega, m)
 
     def g1_inv(m):
-        return (h_val + op._value(omega, m)) / lam + float(m.eigenvalues()[0])
+        return (h_val + op.evaluate(omega, m)) / lam + float(m.eigenvalues()[0])
 
     def g2_eval(t, m):
-        return lam * t + lam * float(m.eigenvalues()[0]) + h_val - op._value(omega, m.negated())
+        return lam * t + lam * float(m.eigenvalues()[0]) + h_val - op.evaluate(omega, m.negated())
 
     def g2_inv(m):
-        return (op._value(omega, m.negated()) - h_val) / lam - float(m.eigenvalues()[0])
+        return (op.evaluate(omega, m.negated()) - h_val) / lam - float(m.eigenvalues()[0])
 
     g1 = ClassMWitness(
         name=f"class_u_g1[{op.name}]", which="g1", eval_fn=g1_eval, inv_at_zero_fn=g1_inv,

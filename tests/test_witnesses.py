@@ -84,6 +84,22 @@ class TestClassUEmbedding:
         with pytest.raises(OutOfDomain):
             g1.inv_at_zero(SymmetricMatrix.diagonal([-5.0, -5.0, 1.0]))
 
+    def test_fields_keep_the_operator_domain_check(self):
+        """A member rebuilt from the embedding's callables under all of S(N) still
+        refuses a matrix outside F's domain, rather than evaluating F there."""
+        op = k_hessian(2)
+        g1, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(3))
+        outside = SymmetricMatrix.diagonal([-1.0, -1.0, -1.0])  # not in Gamma_2
+        for g, m in ((g1, outside), (g2, outside.negated())):
+            wide = ClassMWitness(name="wide", which=g.which, eval_fn=g.eval_fn,
+                                 inv_at_zero_fn=g.inv_at_zero_fn)
+            with pytest.raises(OutOfDomain):
+                wide.evaluate(0.0, m)
+            with pytest.raises(OutOfDomain):
+                wide.inv_at_zero(m)
+            with pytest.raises(OutOfDomain):
+                wide.evaluate(0.0, m, checked=False)
+
 
 class TestPLaplaceWitness:
     def test_inverse_formulas(self):
