@@ -168,7 +168,11 @@ def _sym_draw(rng, n: int, scale: float) -> SymmetricMatrix:
 
 def _psd_draw(rng, n: int, scale: float) -> np.ndarray:
     p = rng.uniform(-scale, scale, (n, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # past scale ~1e153; pairs refuse it
+    # Each entry of P^T P is at most n scale^2. Entering errstate costs more than a small
+    # product, so only a draw that can overflow pays for it; the pair's check refuses the inf.
+    if n * scale * scale <= 1e308:
+        return p.T @ p
+    with np.errstate(over="ignore", invalid="ignore"):
         return p.T @ p
 
 
