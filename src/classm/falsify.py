@@ -23,8 +23,11 @@ finite test can quantify over.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -60,6 +63,16 @@ _PHASE_TRIALS = 1
 _PHASE_COND1 = 2
 _PHASE_COND2 = 3
 
+# Streams are hashed _SEED_BLOCK indices at a time; a trial draws _DRAW_BUFFER doubles at a time.
+_SEED_BLOCK = _DRAW_BUFFER = 64
+
+# numpy's SeedSequence hash constants, from numpy/random/bit_generator.pyx.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# generate_state xors its word i with _STATE_CONSTS[i] and multiplies it by _STATE_CONSTS[i + 1].
+_STATE_CONSTS = [_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)]
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -69,12 +82,21 @@ class SampleConfig:
     dim: int = 3
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        for name in ("seed", "trials", "dim"):  # a numpy integer is stored as int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise BadArgument(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not 0 <= self.seed < 2**64:
             raise BadArgument(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.trials < 1:
             raise BadArgument(f"trials must be >= 1, got {self.trials}")
+        if isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real):
+            raise BadArgument(f"scale must be a real number, got {self.scale!r}")
+        if type(self.scale) is not int:
+            object.__setattr__(self, "scale", float(self.scale))
         # draws are uniform on [-scale, scale], whose width 2 * scale must be finite
-        if not (self.scale > 0.0 and math.isfinite(2.0 * self.scale)):
+        if not 0.0 < self.scale <= sys.float_info.max / 2.0:
             raise BadArgument(f"scale must be > 0 with 2 * scale finite, got {self.scale}")
         if self.dim < 1:
             raise BadArgument(f"dim must be >= 1, got {self.dim}")
@@ -150,15 +172,99 @@ def _jsonable(value):
     return value
 
 
+def _words32(value: int) -> list:
+    """numpy's words for an int >= 0: its little-endian 32-bit words, and [0] for 0."""
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _u32(value):  # a Python int is masked; a uint32 array has already wrapped
+    return value & _MASK32 if type(value) is int else value
+
+
+def _hashmix(value, const):
+    """numpy's hashmix of value under the hash constant const, and the constant after it."""
+    following = const * _MULT_A & _MASK32
+    value = _u32((value ^ const) * following)
+    return value ^ value >> 16, following
+
+
+def _mix(x, y):
+    value = _u32(_u32(_MIX_MULT_L * x) - _u32(_MIX_MULT_R * y))
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_block(seed: int, phase: int, first: int) -> np.ndarray:
+    """Row j is SeedSequence((seed, phase, first + j)).generate_state(4, np.uint64), for
+    ``first`` a multiple of _SEED_BLOCK. No block straddles a multiple of 2^32, so only
+    the index's lowest word varies: it is the one uint32 array, and the other words and
+    the hash constants stay Python ints. Checkers open streams in index order, so one
+    memo entry is enough."""
+    low = first & _MASK32
+    entropy = [*_words32(seed), *_words32(phase),
+               np.arange(low, low + _SEED_BLOCK, dtype=np.uint32), *_words32(first)[1:]]
+    pool, const = [], _INIT_A  # mix_entropy on a pool of 4 words; 3 words leave a 0 slot
+    for word in (entropy + [0])[:4]:
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src, dst in itertools.permutations(range(4), 2):
+        word, const = _hashmix(pool[src], const)
+        pool[dst] = _mix(pool[dst], word)
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        word, const = _hashmix(word, const)
+        pool[dst] = _mix(pool[dst], word)
+    # generate_state's 8 words from the cycled pool, whose slots all hold arrays by now,
+    # paired little-endian into 4 uint64
+    consts = np.array(_STATE_CONSTS, dtype=np.uint32)[:, None]
+    words = (np.concatenate((pool, pool)) ^ consts[:-1]) * consts[1:]
+    words ^= words >> 16
+    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type():
+    """An ISeedSequence that hands PCG64 one _seed_block row; made on first use, so
+    that importing classm does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 np.uint64
+            return self.words
+
+    return SeedWords
+
+
 def _rng(seed: int, phase: int, index: int) -> np.random.Generator:
-    """numpy's stream for the tuple (seed, phase, index), seeded with the words numpy
-    derives from it: the little-endian 32-bit words of each integer, and [0] for 0."""
-    words = []
-    for value in (seed, phase, index):
-        words.append(value & 0xFFFFFFFF)
-        while (value := value >> 32) > 0:
-            words.append(value & 0xFFFFFFFF)
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+    """default_rng((seed, phase, index)) to the bit, hashed _SEED_BLOCK indices at a time."""
+    offset = index % _SEED_BLOCK
+    words = _seed_block(seed, phase, index - offset)[offset]
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+
+
+class _Draws:
+    """A trial's stream, drawn _DRAW_BUFFER doubles at a time and handed out per
+    uniform(-scale, scale, size) call. numpy draws each double as low + (high - low)
+    * next_double, one by one, so the pieces have the bytes of separate calls."""
+
+    __slots__ = ("_rng", "_scale", "_buf", "_pos")
+
+    def __init__(self, rng, scale: float):
+        self._rng, self._scale, self._pos = rng, scale, 0
+        self._buf = rng.uniform(-scale, scale, _DRAW_BUFFER)
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        if (low, high) != (-self._scale, self._scale):
+            raise ToolkitError(f"trial draws are on +-{self._scale!r}, not [{low!r}, {high!r}]")
+        count = math.prod(size) if isinstance(size, tuple) else size
+        start, stop = self._pos, self._pos + count
+        if stop > len(self._buf):
+            fresh = self._rng.uniform(low, high, max(count, _DRAW_BUFFER))
+            self._buf, start, stop = np.concatenate((self._buf[start:], fresh)), 0, count
+        self._pos = stop
+        return self._buf[start:stop].reshape(size)
 
 
 def _sym_draw(rng, n: int, scale: float) -> SymmetricMatrix:
@@ -182,7 +288,7 @@ def _jet_draw(rng, n: int, scale: float) -> JetPoint:
     x, r, nu = head[:n].copy(), float(head[n]), head[n + 1:].copy()
     for attempt in range(64):
         if attempt:
-            nu = rng.uniform(-scale, scale, n)
+            nu = rng.uniform(-scale, scale, n).copy()
         omega = JetPoint._of_finite(x, r, nu)
         if omega._nu_norm >= 1e-6:
             return omega
@@ -219,7 +325,7 @@ def _first_violation(kind: str, cfg: SampleConfig, details: dict, probes, stages
         if cert is not None:
             return cert
     for idx in range(cfg.trials):
-        rng = _rng(cfg.seed, _PHASE_TRIALS, idx)
+        rng = _Draws(_rng(cfg.seed, _PHASE_TRIALS, idx), cfg.scale)
         carried = None
         for draw, check, exhausted in stages:
             for _attempt in range(RESAMPLE_CAP):
@@ -461,9 +567,9 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
             for g in (g1, g2):
                 if not (_in_domain_s(g, m) and _in_domain_s(g, coarse) and _in_domain_s(g, fine)):
                     continue
-                base = g.inv_at_zero(m)
-                d_coarse = abs(g.inv_at_zero(coarse) - base)
-                d_fine = abs(g.inv_at_zero(fine) - base)
+                base = g.inv_at_zero(m, checked=False)
+                d_coarse = abs(g.inv_at_zero(coarse, checked=False) - base)
+                d_fine = abs(g.inv_at_zero(fine, checked=False) - base)
                 yield None if not d_fine > max(0.75 * d_coarse, 1e-7) else Certificate(
                     kind="class_m.condition2",
                     witnesses={"witness": g.name, "M": m, "direction": direction},
@@ -480,41 +586,28 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
     admits3 = lambda x, m: _in_domain_s(g1, m) and op.in_domain(omega1, x)
     admits4 = lambda y, m: _in_domain_s(g2, m) and op.in_domain(omega2, y)
 
-    def cond3_check(case, index):
-        x, m = case
-        lhs = -op.evaluate(omega1, x, checked=False)
-        rhs = g1.evaluate(float(x.eigenvalues()[0]), m, checked=False)
-        if lhs > rhs + VIOLATION_MARGIN:
-            return Certificate(
-                kind="class_m.condition3",
-                witnesses={"omega": omega1, "X": x, "M": m,
-                           "operator": op.name, "witness": g1.name},
-                inequality_values={"neg_F": lhs, "g1_at_lambda1": rhs},
-                margin=lhs - rhs,
-                trial_index=index,
-                description="X <= M but -F(omega, X) > g1(lambda_1(X), M)",
-                recheck=lambda: (-op.evaluate(omega1, x)
-                                 - g1.evaluate(float(x.eigenvalues()[0]), m)),
-            )
-        return None
+    def side_check(kind, omega, g, pos, sign, name, value_key, description):
+        """Condition 3 (sign 1): -F(omega, X) <= g1(lambda_1(X), M); condition 4 (sign -1):
+        -F(omega, Y) >= g2(lambda_N(Y), M). Negation and the factor 1 are exact."""
+        def check(case, index):
+            x, m = case
+            lhs = -op.evaluate(omega, x, checked=False)
+            rhs = g.evaluate(float(x.eigenvalues()[pos]), m, checked=False)
+            if sign * lhs > sign * rhs + VIOLATION_MARGIN:
+                return Certificate(
+                    kind=kind, witnesses={"omega": omega, name: x, "M": m, "operator": op.name,
+                                          "witness": g.name},
+                    inequality_values={"neg_F": lhs, value_key: rhs},
+                    margin=sign * lhs - sign * rhs, trial_index=index, description=description,
+                    recheck=lambda: (sign * -op.evaluate(omega, x)
+                                     - sign * g.evaluate(float(x.eigenvalues()[pos]), m)))
+            return None
+        return check
 
-    def cond4_check(case, index):
-        y, m = case
-        lhs = -op.evaluate(omega2, y, checked=False)
-        rhs = g2.evaluate(float(y.eigenvalues()[-1]), m, checked=False)
-        if lhs < rhs - VIOLATION_MARGIN:
-            return Certificate(
-                kind="class_m.condition4",
-                witnesses={"omega": omega2, "Y": y, "M": m,
-                           "operator": op.name, "witness": g2.name},
-                inequality_values={"neg_F": lhs, "g2_at_lambdaN": rhs},
-                margin=rhs - lhs,
-                trial_index=index,
-                description="-Y <= M but -F(omega, Y) < g2(lambda_N(Y), M)",
-                recheck=lambda: (g2.evaluate(float(y.eigenvalues()[-1]), m)
-                                 - (-op.evaluate(omega2, y))),
-            )
-        return None
+    cond3_check = side_check("class_m.condition3", omega1, g1, 0, 1.0, "X", "g1_at_lambda1",
+                             "X <= M but -F(omega, X) > g1(lambda_1(X), M)")
+    cond4_check = side_check("class_m.condition4", omega2, g2, -1, -1.0, "Y", "g2_at_lambdaN",
+                             "-Y <= M but -F(omega, Y) < g2(lambda_N(Y), M)")
 
     # Deterministic divergence ladder: lambda_1(X) walks to -infinity along
     # fixed constructions while each pair stays ordered (X <= M exactly).
@@ -591,15 +684,7 @@ def _cert_inf_laplace(dim: int = 2, c: float = -1e6) -> Certificate:
 
 def _sk_bruteforce(values, k: int):
     """Subset-enumeration oracle for S_k; exact on integer input."""
-    from itertools import combinations
-
-    total = 0
-    for combo in combinations(values, k):
-        prod = 1
-        for v in combo:
-            prod = prod * v
-        total += prod
-    return total
+    return sum(math.prod(combo) for combo in itertools.combinations(values, k))
 
 
 def _khessian_formula(n: int, k: int, m: int) -> int:
@@ -741,9 +826,7 @@ def _cert_bounded_h(dim: int = 3, h: MonotoneFunction | None = None) -> Certific
             raise ToolkitError("bounded H escaped its own bound; broken MonotoneFunction")
         rows.append({"c": sign * cmag, "neg_F": value,
                      "extreme_eigenvalue": sign * cmag})
-    c_last = rows[-1]["c"]
-    x_last = SymmetricMatrix(c_last * np.eye(dim))
-    value_last = -op.evaluate(omega, x_last)
+    c_last, x_last, value_last = rows[-1]["c"], x, value
     return Certificate(
         kind="counterexample.bounded_h",
         witnesses={"X_at_extreme": x_last, "M": SymmetricMatrix.zero(dim), "H": h,

@@ -93,8 +93,10 @@ class ClassMWitness:
             self._gate(m)
         return _finite(self.name, self.eval_fn, float(t), m)
 
-    def inv_at_zero(self, m: SymmetricMatrix) -> float:
-        self._gate(m)
+    def inv_at_zero(self, m: SymmetricMatrix, *, checked: bool = True) -> float:
+        """g(-, M)^{-1}(0); ``checked=False`` skips the domain gate, as for ``evaluate``."""
+        if checked:
+            self._gate(m)
         if self.inv_at_zero_fn is None:
             return bisect_inverse_at_zero(self.eval_fn, m)
         return _finite(self.name, self.inv_at_zero_fn, m)

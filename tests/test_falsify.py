@@ -2,7 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +70,23 @@ class TestSampleConfig:
         with pytest.raises(BadArgument):
             SampleConfig(seed=0, dim=0)
 
+    @pytest.mark.parametrize("bad", [{"trials": 2.5}, {"dim": 2.0}, {"seed": True},
+                                     {"trials": True}, {"dim": np.True_}, {"seed": 1.0},
+                                     {"scale": True}, {"scale": "1"}, {"scale": 10**400},
+                                     {"seed": 2**64}])
+    def test_refuses_what_it_cannot_serve(self, bad):
+        with pytest.raises(BadArgument):
+            SampleConfig(**{"seed": 0, **bad})
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        cfg = SampleConfig(seed=np.uint64(7), trials=np.int64(20), dim=np.int32(2),
+                           scale=np.float32(0.5))
+        assert [type(v) for v in (cfg.seed, cfg.trials, cfg.dim, cfg.scale)] == [int] * 3 + [float]
+        rep = check_degenerate_ellipticity(linear_uniform(1.0), cfg)
+        plain = check_degenerate_ellipticity(
+            linear_uniform(1.0), SampleConfig(seed=7, trials=20, dim=2, scale=0.5))
+        assert json.dumps(rep.to_json_obj()) == json.dumps(plain.to_json_obj())
+
 
 _EDGE_SEEDS = st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1))
 
@@ -79,6 +101,29 @@ class TestTrialStreams:
     def test_rng_matches_tuple_seeding(self, seed, phase, index):
         ref = np.random.default_rng((seed, phase, index))
         assert _rng(seed, phase, index).bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", (0, 2**32 - 1, 2**32, 2**64 - 1))
+    def test_rng_matches_tuple_seeding_at_block_and_word_edges(self, seed):
+        for phase in (0, 1, 2, 3, 2**32, 2**64 - 1):
+            for index in (0, 63, 64, 2**32 - 1, 2**32, 2**40):
+                ref = np.random.default_rng((seed, phase, index))
+                assert _rng(seed, phase, index).bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(scale=st.sampled_from((1e-300, 1.0, 1e154, 8e307)), index=st.integers(0, 200),
+           sizes=st.lists(st.one_of(st.integers(1, 150), st.integers(1, 9).map(lambda n: (n, n))),
+                          min_size=1, max_size=12))
+    def test_draws_hand_out_consecutive_uniform_calls(self, scale, index, sizes):
+        draws, twin = falsify._Draws(_rng(5, 1, index), scale), _rng(5, 1, index)
+        for size in sizes:
+            got, want = draws.uniform(-scale, scale, size), twin.uniform(-scale, scale, size)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_draws_refuse_other_bounds(self):
+        draws = falsify._Draws(_rng(0, 1, 0), 2.0)
+        for low, high in ((-1.0, 1.0), (-2.0, 1.0), (0.0, 2.0), (-2.0, 2.5)):
+            with pytest.raises(ToolkitError):
+                draws.uniform(low, high, 3)
 
     @staticmethod
     def _three_call_draw(rng, n, scale):
@@ -589,6 +634,33 @@ class TestWorkCounts:
         assert len(negations) == len(solves_per_m) == 346
         assert set(solves_per_m.values()) == {1}
 
+    def test_condition2_gates_each_matrix_once(self, monkeypatch):
+        """Condition 2 decides the domain of M, coarse and fine itself, so its inverses
+        skip the witness's gate; a direct call keeps it."""
+        gate, inv_at_zero = ClassMWitness._gate, ClassMWitness.inv_at_zero
+        inside, counts = [False], Counter()
+
+        def counted_gate(g, m):
+            counts["gates inside inv_at_zero"] += inside[0]
+            return gate(g, m)
+
+        def counted_inv_at_zero(g, m, **kwargs):
+            counts["inv_at_zero"] += 1
+            inside[0] = True
+            try:
+                return inv_at_zero(g, m, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ClassMWitness, "_gate", counted_gate)
+        monkeypatch.setattr(ClassMWitness, "inv_at_zero", counted_inv_at_zero)
+        g1, g2 = witness_p_laplace(1.5, unit_jet(3))
+        rep = check_class_m(p_laplace(1.5), g1, g2, SampleConfig(seed=0, trials=100, dim=3))
+        assert isinstance(rep, PassReport)
+        assert counts == {"inv_at_zero": 96}
+        g1.inv_at_zero(SymmetricMatrix.identity(3))
+        assert counts["gates inside inv_at_zero"] == 1
+
 
 def test_overflowing_sampled_pairs_are_refused():
     """At scale 1e200, X + P^T P overflows: the full check refuses it, not a report."""
@@ -597,3 +669,28 @@ def test_overflowing_sampled_pairs_are_refused():
         check_degenerate_ellipticity(p_laplace(4), cfg)
     with pytest.raises(InvalidMatrix):
         check_class_u(linear_uniform(1.0), class_u_constant(1.0), cfg)
+
+
+def test_checkers_on_threads_match_serial_runs():
+    """The seed block memo is module state; checkers on threads still see their own streams."""
+    op = p_laplace(4)
+    g1, g2 = witness_p_laplace(4, unit_jet(3))
+
+    def run(seed):
+        cfg = SampleConfig(seed=seed, trials=150, dim=3)
+        return (check_degenerate_ellipticity(k_hessian(2), cfg).to_json_obj(),
+                check_class_m(op, g1, g2, cfg).to_json_obj())
+
+    seeds = (1, 2, 3, 4)
+    serial = [run(seed) for seed in seeds]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(run, seeds)) == serial
+
+
+def test_import_leaves_numpy_random_unloaded():
+    package_root = str(Path(falsify.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, classm; assert 'numpy.random' not in sys.modules, 'numpy.random loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

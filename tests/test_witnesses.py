@@ -99,6 +99,15 @@ class TestClassUEmbedding:
                 wide.inv_at_zero(m)
             with pytest.raises(OutOfDomain):
                 wide.evaluate(0.0, m, checked=False)
+            with pytest.raises(OutOfDomain):
+                wide.inv_at_zero(m, checked=False)
+
+    def test_unchecked_inverse_skips_only_the_gate(self):
+        g = ClassMWitness(name="nowhere", which="g1", eval_fn=lambda t, m: t,
+                          inv_at_zero_fn=lambda m: 0.0, domain_S=lambda m: False)
+        with pytest.raises(OutOfDomain):
+            g.inv_at_zero(SymmetricMatrix.zero(2))
+        assert g.inv_at_zero(SymmetricMatrix.zero(2), checked=False) == 0.0
 
 
 class TestPLaplaceWitness:
