@@ -38,6 +38,7 @@ from .operators import (
     JetPoint,
     MonotoneFunction,
     OperatorDescriptor,
+    _jsonable,
     arctan_monotone,
     eig_sum,
     inf_laplace,
@@ -45,7 +46,7 @@ from .operators import (
     p_laplace,
     unit_jet,
 )
-from .symmat import SymmetricMatrix, elementary_symmetric, matrix_to_json_obj
+from .symmat import SymmetricMatrix, elementary_symmetric
 from .witnesses import ClassMWitness, ClassUWitness
 
 # A sampled inequality must fail by more than this to count as a violation;
@@ -102,7 +103,7 @@ class SampleConfig:
             raise BadArgument(f"dim must be >= 1, got {self.dim}")
 
     def to_json_obj(self) -> dict:
-        return {"seed": self.seed, "trials": self.trials, "scale": self.scale, "dim": self.dim}
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,7 @@ class PassReport:
     details: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {"type": "pass_report", "kind": self.kind, "trials": self.trials,
-                "probes": self.probes, "config": self.config, "details": self.details}
+        return _jsonable(self, "pass_report")
 
 
 @dataclass(frozen=True)
@@ -146,30 +146,7 @@ class Certificate:
         return value
 
     def to_json_obj(self) -> dict:
-        return {
-            "type": "certificate",
-            "kind": self.kind,
-            "witnesses": {k: _jsonable(v) for k, v in self.witnesses.items()},
-            "inequality_values": {k: _jsonable(v) for k, v in self.inequality_values.items()},
-            "margin": self.margin,
-            "trial_index": self.trial_index,
-            "description": self.description,
-        }
-
-
-def _jsonable(value):
-    if isinstance(value, SymmetricMatrix):
-        return matrix_to_json_obj(value)
-    if isinstance(value, JetPoint):
-        return {"x": [float(v) for v in value.x], "r": value.r,
-                "nu": [float(v) for v in value.nu]}
-    if isinstance(value, MonotoneFunction):
-        return value.name
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+        return _jsonable(self, "certificate")
 
 
 def _words32(value: int) -> list:
@@ -499,11 +476,16 @@ def _in_domain_s(g: ClassMWitness, m: SymmetricMatrix) -> bool:
 
 
 def _condition1(g: ClassMWitness, m: SymmetricMatrix) -> Optional[Certificate]:
-    """Condition 1 at M in g's domain: g(-, M) rises strictly on the grid and grows at its ends."""
-    vals = [g.evaluate(t, m, checked=False) for t in _COND1_GRID]
+    """Condition 1 at M in g's domain: g(-, M) rises strictly on the grid and grows at its ends.
+    The grid is _COND1_GRID times s = 1, or past |g(0, M)| = 1e6 times the power of two just
+    above 1e-6 |g(0, M)|, so that its steps stay resolvable next to g's own size."""
+    g0 = g.evaluate(0.0, m, checked=False)
+    s = 1.0 if abs(g0) <= 1e6 else math.ldexp(1.0, math.frexp(1e-6 * abs(g0))[1])
+    grid = [s * t for t in _COND1_GRID]
+    vals = [g.evaluate(t, m, checked=False) if t else g0 for t in grid]
     for pos in range(len(vals) - 1):
         if not vals[pos + 1] > vals[pos]:
-            ta, tb = _COND1_GRID[pos], _COND1_GRID[pos + 1]
+            ta, tb = grid[pos], grid[pos + 1]
             return Certificate(
                 kind="class_m.condition1",
                 witnesses={"witness": g.name, "M": m, "t_lo": ta, "t_hi": tb},
@@ -516,16 +498,16 @@ def _condition1(g: ClassMWitness, m: SymmetricMatrix) -> Optional[Certificate]:
     lo_gap = abs(vals[1] - vals[0])
     hi_gap = abs(vals[-1] - vals[-2])
     if lo_gap <= 1e-6 * (1.0 + abs(vals[1])) or hi_gap <= 1e-6 * (1.0 + abs(vals[-2])):
+        ends = "1e4 and 1e6" if s == 1.0 else f"{grid[-2]:g} and {grid[-1]:g}"
         return Certificate(
             kind="class_m.condition1",
             witnesses={"witness": g.name, "M": m},
             inequality_values={"low_end_gap": lo_gap, "high_end_gap": hi_gap},
             margin=min(lo_gap, hi_gap),
-            description=f"{g.which}(t, M) shows no growth between the 1e4 and 1e6 "
+            description=f"{g.which}(t, M) shows no growth between the {ends} "
                         "grid ends; an increasing bijection of R must keep growing",
-            recheck=lambda: min(
-                abs(g.evaluate(_COND1_GRID[1], m) - g.evaluate(_COND1_GRID[0], m)),
-                abs(g.evaluate(_COND1_GRID[-1], m) - g.evaluate(_COND1_GRID[-2], m))),
+            recheck=lambda: min(abs(g.evaluate(grid[1], m) - g.evaluate(grid[0], m)),
+                                abs(g.evaluate(grid[-1], m) - g.evaluate(grid[-2], m))),
         )
     return None
 
@@ -534,8 +516,8 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                   cfg: SampleConfig):
     """Check witness conditions 1 to 4 for (g1, g2) against the operator.
 
-    Condition 1: monotone bijection of t on a log grid spanning +-1e6, with a
-    growth probe at the ends. Condition 2: continuity of M -> g(-, M)^{-1}(0)
+    Condition 1: monotone bijection of t on a log grid spanning +-1e6 (stretched
+    past |g(0, M)| = 1e6), with a growth probe at the ends. Condition 2: continuity of M -> g(-, M)^{-1}(0)
     under shrinking perturbations (a Hoelder-tolerant two-scale test).
     Conditions 3 and 4: the per-side inequalities, first on a deterministic
     divergence ladder (lambda_1 walking to -infinity along the constructions

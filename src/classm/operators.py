@@ -21,7 +21,7 @@ nu = 0, so |nu| below 1e-12 is treated as zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ from .symmat import (
     _lambda1_at_least,
     elementary_symmetric,
     gamma_k_member,
+    matrix_to_json_obj,
 )
 
 GRAD_NORM_FLOOR = 1e-12
@@ -175,6 +176,27 @@ def _finite(name: str, fn, *args) -> float:
     if not math.isfinite(val):
         raise NonFiniteValue(f"{name}: evaluation produced a non-finite value")
     return val
+
+
+def _jsonable(value, tag: Optional[str] = None):
+    """``value`` as JSON data: a matrix as its dim and rows, a monotone function as its
+    name, any other dataclass as the fields its repr shows (after ``"type": tag`` when a
+    tag is given), an array or a tuple as a list, and containers entry by entry."""
+    if isinstance(value, SymmetricMatrix):
+        return matrix_to_json_obj(value)
+    if isinstance(value, MonotoneFunction):
+        return value.name
+    if is_dataclass(value):
+        obj = {} if tag is None else {"type": tag}
+        obj.update((f.name, _jsonable(getattr(value, f.name))) for f in fields(value) if f.repr)
+        return obj
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
 
 
 def _as_constant_matrix_callback(value, what: str):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BadArgument, BadParams, DimMismatch, NonConvergent, SlackTooLarge, ToolkitError
 from .falsify import Certificate, PassReport
-from .operators import JetPoint, OperatorDescriptor
+from .operators import JetPoint, OperatorDescriptor, _jsonable
 from .symmat import (
     BlockMatrix2N,
     SymmetricMatrix,
@@ -135,7 +135,7 @@ class EpsilonSchedule:
         return cls(eps0, tuple(eps0 * ratio ** i for i in range(1, count + 1)))
 
     def to_json_obj(self) -> dict:
-        return {"eps0": self.eps0, "values": list(self.values)}
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)

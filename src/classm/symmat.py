@@ -2,7 +2,7 @@
 
 Everything here is desk scale: dense storage, dimensions up to 16, and a
 deterministic cyclic Jacobi eigensolver (no LAPACK nondeterminism, no
-external solver dependency; for N <= 8 the sweeps run as generated
+external solver dependency; for N <= 8 the eigenvalue sweeps run as generated
 straight-line code with the loop's float operations in the loop's order). The
 module provides
 
@@ -50,7 +50,7 @@ _JACOBI_REL_OFF = 1e-12
 # overflows, or the squares of entries near the stopping threshold
 # underflow. Scaling by 2^k is exact, so inputs inside keep their bits.
 _JACOBI_SAFE_FRO = (2.0 ** -400, 2.0 ** 400)
-# Largest N whose sweeps run as generated straight-line code. Its source, compile
+# Largest N whose eigenvalue sweeps run as generated straight-line code. Its source, compile
 # time and compiler memory grow like N^3: N = 8 compiles in about 8 ms and 2 MB, N = 16
 # in about 70 ms and 16 MB, which a process solving a few 16 x 16 matrices never repays.
 _JACOBI_UNROLL_MAX_N = 8
@@ -231,9 +231,9 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
     norm drops below 1e-12 times the Frobenius norm of the input, capped at
     30 sweeps. An input too large or too small for those norms is scaled by
     a power of two before the sweeps and the eigenvalues are scaled back, so
-    the result is right at any finite scale. Up to ``_JACOBI_UNROLL_MAX_N``
-    the sweeps run in ``_jacobi_kernel``, larger N in ``_jacobi_loop``: the
-    same sequential scalar arithmetic, so the result is bit deterministic.
+    the result is right at any finite scale. ``_jacobi_kernel`` computes eigenvalues
+    alone up to ``_JACOBI_UNROLL_MAX_N``, ``_jacobi_loop`` the rest, with the same
+    sequential scalar arithmetic, so the result is bit deterministic.
     Returns (diagonal, vectors or None); the vectors are rows of a
     list-of-lists whose columns are eigenvectors.
     """
@@ -246,10 +246,10 @@ def _jacobi(matrix: np.ndarray, want_vectors: bool):
         a = [[math.ldexp(v, -shift) for v in row] for row in a]
         fro = math.sqrt(_sum_squares(a))
     thresh = _JACOBI_REL_OFF * fro
-    if n <= _JACOBI_UNROLL_MAX_N:
-        diag, q = _jacobi_kernel(n, want_vectors)(a, thresh)
-    else:
+    if want_vectors or n > _JACOBI_UNROLL_MAX_N:
         diag, q = _jacobi_loop(a, thresh, want_vectors)
+    else:
+        diag, q = _jacobi_kernel(n)(a, thresh), None
     if shift:
         with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
             diag = np.ldexp(diag, shift).tolist()
@@ -308,18 +308,15 @@ def _jacobi_loop(a: list, thresh: float, want_vectors: bool):
 
 
 @functools.cache
-def _jacobi_kernel(n: int, want_vectors: bool):
-    """``_jacobi_loop`` for one N as straight-line code on locals a_i_j (i <= j) and
-    q_i_j: each rotation written out in schedule order, one tuple assignment per
-    other index, so that every float operation and its order are the loop's."""
+def _jacobi_kernel(n: int):
+    """The eigenvalues of ``_jacobi_loop`` for one N as straight-line code on locals
+    a_i_j (i <= j): each rotation written out in schedule order, one tuple assignment
+    per other index, so that every float operation and its order are the loop's."""
     a = [[f"a_{min(i, j)}_{max(i, j)}" for j in range(n)] for i in range(n)]
-    q = [[f"q_{i}_{j}" for j in range(n)] for i in range(n)] if want_vectors else []
     off = " + ".join(["0.0"] + [f"{a[p][r]} * {a[p][r]}" for p, r, _ in _rotation_schedule(n)])
     src = ["def jacobi_sweeps(rows, thresh):", "    sqrt = math.sqrt"]
     src += [f"    {', '.join(['_'] * i + [a[i][j] for j in range(i, n)])}, = rows[{i}]"
             for i in range(n)]
-    src += [f"    {', '.join(row)}, = {', '.join('1.0' if i == j else '0.0' for j in range(n))},"
-            for i, row in enumerate(q)]
     src += ["    for sweep in range(_JACOBI_MAX_SWEEPS + 1):",
             f"        if sqrt(2.0 * ({off})) <= thresh:", "            break",
             "        if sweep == _JACOBI_MAX_SWEEPS:", "            raise _sweep_cap_error()"]
@@ -335,10 +332,9 @@ def _jacobi_kernel(n: int, want_vectors: bool):
                 "            c = 1.0 / sqrt(t * t + 1.0)", "            s = t * c",
                 f"            {app} -= t * apq", f"            {arr} += t * apq",
                 f"            {apr} = 0.0"]
-        pairs = [(a[i][p], a[i][r]) for i in others] + [(row[p], row[r]) for row in q]
+        pairs = [(a[i][p], a[i][r]) for i in others]
         src += [f"            {x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}" for x, y in pairs]
-    vectors = "[" + ", ".join(f"[{', '.join(row)}]" for row in q) + "]" if q else "None"
-    src.append(f"    return [{', '.join(a[i][i] for i in range(n))}], {vectors}")
+    src.append(f"    return [{', '.join(a[i][i] for i in range(n))}]")
     namespace = {}
     exec(compile("\n".join(src), f"<jacobi n={n}>", "exec"), globals(), namespace)
     return namespace["jacobi_sweeps"]

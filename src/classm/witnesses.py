@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import BadArgument, BadParams, DimMismatch, NonFiniteValue, NotInClassM, OutOfDomain
-from .operators import GRAD_NORM_FLOOR, JetPoint, MonotoneFunction, OperatorDescriptor, _finite
+from .operators import (GRAD_NORM_FLOOR, JetPoint, MonotoneFunction, OperatorDescriptor, _finite,
+                        _jsonable)
 from .symmat import SymmetricMatrix
 
 BISECT_BRACKET = 1e9
@@ -265,14 +266,7 @@ class BoundReport:
             raise NonFiniteValue("bound report scalars must be finite")
 
     def to_json_obj(self) -> dict:
-        return {
-            "type": "bound_report",
-            "lower_X": self.lower_X,
-            "lower_negY": self.lower_negY,
-            "upper_block_ok": self.upper_block_ok,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        return _jsonable(self, "bound_report")
 
 
 def _default_lam(op: OperatorDescriptor) -> Optional[float]:

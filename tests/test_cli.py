@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from classm import cli, errors
+from classm import BoundReport, Certificate, EpsilonSchedule, PassReport, SampleConfig, cli, errors
 from classm.cli import _build_parser, main
 from classm.falsify import _COUNTEREXAMPLES
 
@@ -43,6 +44,14 @@ class TestExitCodes:
                              "--trials", "50", "--seed", "7")
         assert code == 0
         assert obj["type"] == "pass_report"
+
+    @pytest.mark.parametrize("scale", ["1e12", "1e15", "1e100"])
+    def test_slope_one_witness_passes_condition1_at_large_scale(self, capsys, scale):
+        """The condition-1 grid stretches with |g(0, M)|, so rounding alone certifies no flat
+        or non-increasing stretch."""
+        code, obj = run_json(capsys, "check-class-m", "--op", '{"family":"p_laplace","p":4}',
+                             "--dim", "3", "--trials", "20", "--seed", "1", "--scale", scale)
+        assert (code, obj["type"]) == (0, "pass_report")
 
     def test_expect_fail_inverts(self, capsys):
         code, _, _ = run_cli(capsys, "check-class-m", "--op", P3, "--dim", "3",
@@ -137,6 +146,11 @@ class TestExitCodes:
         ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "2", "--trials", "3",
          "--nu", "[1e200,0]"],
         ["counterexample", "--name", "p1_laplace", "--c=-1e300", "--dim", "3"],
+        # draws or a stretched condition-1 grid past the float range
+        ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "3", "--trials", "20",
+         "--seed", "1", "--scale", "1e300"],
+        ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "3", "--trials", "20",
+         "--seed", "1", "--scale", "4e307"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -431,6 +445,18 @@ class TestSchema:
     def test_json_outputs_validate(self, capsys, schema, argv):
         _, obj = run_json(capsys, *argv)
         jsonschema.validate(obj, schema)
+
+    @pytest.mark.parametrize("name, cls", [("pass_report", PassReport),
+                                           ("certificate", Certificate),
+                                           ("bound_report", BoundReport)])
+    def test_report_properties_are_the_dataclass_fields(self, schema, name, cls):
+        shown = {f.name for f in dataclasses.fields(cls) if f.repr}
+        assert set(schema["$defs"][name]["properties"]) == {"type"} | shown
+
+    @pytest.mark.parametrize("value", [SampleConfig(seed=1), EpsilonSchedule.geometric(count=3)],
+                             ids=["sample_config", "epsilon_schedule"])
+    def test_nested_objects_are_their_fields(self, value):
+        assert list(value.to_json_obj()) == [f.name for f in dataclasses.fields(value)]
 
 
 class TestDeterminism:

@@ -278,6 +278,34 @@ class TestClassM:
         assert 0.0 < cert.margin <= 1e-6
         cert.reverify()
 
+    def test_condition1_growth_certificate_on_a_stretched_grid(self):
+        """g(0, M) = 1e7 stretches the grid by 16; a g flat at its ends gets the growth
+        certificate with the stretched ends, and it reverifies on them."""
+        op = eig_sum(identity_monotone())
+        flat = ClassMWitness(name="flat", which="g1",
+                             eval_fn=lambda t, m: 1e7 + 1e-3 * math.atan(t / 1.6),
+                             inv_at_zero_fn=lambda m: 0.0)
+        _, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(3))
+        cert = check_class_m(op, flat, g2, small_cfg())
+        assert isinstance(cert, Certificate)
+        assert set(cert.inequality_values) == {"low_end_gap", "high_end_gap"}
+        assert "between the 160000 and 1.6e+07 grid ends" in cert.description
+        cert.reverify()
+
+    def test_condition1_bounded_witness_certified_at_large_scale(self):
+        """atan(t) + lambda_N(M) is bounded in t; on the grid stretched by |g(0, M)| ~ 1e12 it
+        still fails condition 1, and the certificate reverifies on that grid."""
+        op = eig_sum(identity_monotone())
+        bounded = ClassMWitness(name="bounded", which="g1",
+                                eval_fn=lambda t, m: math.atan(t) + float(m.eigenvalues()[-1]),
+                                inv_at_zero_fn=lambda m: 0.0)
+        _, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(3))
+        cert = check_class_m(op, bounded, g2, SampleConfig(seed=1, trials=20, scale=1e12, dim=3))
+        assert isinstance(cert, Certificate)
+        assert cert.kind == "class_m.condition1"
+        assert abs(cert.witnesses["t_lo"]) > 1e6  # a grid point of the stretched grid
+        cert.reverify()
+
     def test_condition2_discontinuous_inverse_certified(self):
         op = eig_sum(identity_monotone())
         _, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(3))

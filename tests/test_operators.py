@@ -8,9 +8,14 @@ from classm import (
     JetPoint,
     NonFiniteValue,
     OutOfDomain,
+    PassReport,
+    SampleConfig,
     SymmetricMatrix,
     arctan_monotone,
     catalog,
+    check_class_u,
+    check_degenerate_ellipticity,
+    class_u_constant,
     eig_sum,
     identity_monotone,
     inf_laplace,
@@ -116,6 +121,35 @@ class TestFrozenValues:
         w = JetPoint([0.0, 0.0], 3.0, [2.0, 0.0])
         # -tr(2I * I) + b.nu + c r = -4 + 2 + 6
         assert op.evaluate(w, SymmetricMatrix.identity(2)) == 4.0
+
+
+
+class TestCallableCoefficients:
+    """linear_uniform with sigma, b and c given as callbacks of x."""
+
+    @staticmethod
+    def op():
+        return linear_uniform(1.0, sigma=lambda x: np.diag([1.0 + x[0] ** 2, 2.0]),
+                              b=lambda x: [x[0], 1.0], c=lambda x: x[0])
+
+    def test_matches_the_equal_constants(self):
+        w = JetPoint([0.6, 0.0], 1.0, [2.0, 1.0])
+        x = SymmetricMatrix(-np.eye(2))
+        const = linear_uniform(1.0, sigma=np.diag([1.0 + 0.6 ** 2, 2.0]), b=[0.6, 1.0], c=0.6)
+        # -tr(diag(2.36, 3) (-I)) + (0.6, 1).(2, 1) + 0.6 * 1 = 5.36 + 2.2 + 0.6
+        assert self.op().evaluate(w, x) == const.evaluate(w, x) == 8.16
+
+    @pytest.mark.parametrize("sigma", [lambda x: -np.eye(2), lambda x: np.eye(3)],
+                             ids=["not_psd", "wrong_dim"])
+    def test_bad_sigma_samples_are_refused_at_evaluation(self, sigma):
+        op = linear_uniform(1.0, sigma=sigma)
+        with pytest.raises(BadParams):
+            op.evaluate(unit_jet(2), SymmetricMatrix.identity(2))
+
+    def test_checkers_pass(self):
+        cfg = SampleConfig(seed=1, trials=200, dim=2)
+        assert isinstance(check_degenerate_ellipticity(self.op(), cfg), PassReport)
+        assert isinstance(check_class_u(self.op(), class_u_constant(0.5), cfg), PassReport)
 
 
 class TestJetPoint:

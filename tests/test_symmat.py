@@ -293,7 +293,8 @@ def test_jacobi_matches_the_reference_loop_at_a_huge_theta(n, want_vectors):
 @pytest.mark.parametrize("n", [symmat._JACOBI_UNROLL_MAX_N, symmat._JACOBI_UNROLL_MAX_N + 4])
 @pytest.mark.parametrize("want_vectors", [False, True])
 def test_sweep_cap_raises_the_same_error_on_both_paths(monkeypatch, n, want_vectors):
-    """The generated kernel (N <= the cap) and the loop (N above it) stop alike."""
+    """The generated kernel (eigenvalues, N <= the cap) and the loop (vectors, or N above
+    the cap) stop alike."""
     rng = np.random.default_rng(n)
     raw = rng.uniform(-1.0, 1.0, (n, n))
     entries = SymmetricMatrix((raw + raw.T) / 2.0).entries
@@ -302,7 +303,17 @@ def test_sweep_cap_raises_the_same_error_on_both_paths(monkeypatch, n, want_vect
         _jacobi(entries, want_vectors)
     assert str(info.value) == "Jacobi eigensolver failed to converge in 1 sweeps"
     where = traceback.extract_tb(info.tb)[-1].filename
-    assert where == (f"<jacobi n={n}>" if n <= symmat._JACOBI_UNROLL_MAX_N else symmat.__file__)
+    kernel = n <= symmat._JACOBI_UNROLL_MAX_N and not want_vectors
+    assert where == (f"<jacobi n={n}>" if kernel else symmat.__file__)
+
+
+def test_eigenvectors_compile_no_kernel():
+    """Eigenvectors walk the rotation schedule at every N; only eigenvalues are generated."""
+    rng = np.random.default_rng(5)
+    raw = rng.uniform(-1.0, 1.0, (5, 5))
+    symmat._jacobi_kernel.cache_clear()
+    eigen_decompose(SymmetricMatrix((raw + raw.T) / 2.0))
+    assert symmat._jacobi_kernel.cache_info().currsize == 0
 
 
 class TestLambda1Decision:
