@@ -95,8 +95,6 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _default_jets(dim: int, nu_text: str | None):
-    if dim < 1:
-        raise BadParams(f"dim must be >= 1, got {dim}")
     nu = _parse_vector(nu_text) if nu_text else unit_jet(dim).nu
     if nu.shape != (dim,):
         raise BadParams(f"nu must have length {dim}")
@@ -349,6 +347,10 @@ def _cmd_sums_demo(args) -> int:
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "dim", None) is not None and not 1 <= args.dim <= 16:
+        raise BadArgument(f"--dim must be in 1..16, got {args.dim}")
+    if getattr(args, "terms", 0) > 10_000:
+        raise BadArgument(f"--terms must be <= 10000, got {args.terms}")
     if args.command == "catalog":
         obj = {"type": "catalog", "families": catalog()}
         _emit(obj, args)

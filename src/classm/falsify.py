@@ -468,13 +468,6 @@ def _witness_omega(g: ClassMWitness, cfg: SampleConfig) -> JetPoint:
     return unit_jet(cfg.dim)
 
 
-def _in_domain_s(g: ClassMWitness, m: SymmetricMatrix) -> bool:
-    try:
-        return bool(g.domain_S(m))
-    except BadParams:
-        return False
-
-
 def _condition1(g: ClassMWitness, m: SymmetricMatrix) -> Optional[Certificate]:
     """Condition 1 at M in g's domain: g(-, M) rises strictly on the grid and grows at its ends.
     The grid is _COND1_GRID times s = 1, or past |g(0, M)| = 1e6 times the power of two just
@@ -512,17 +505,29 @@ def _condition1(g: ClassMWitness, m: SymmetricMatrix) -> Optional[Certificate]:
     return None
 
 
+def _inverse_check(g: ClassMWitness, m: SymmetricMatrix, base: float) -> Optional[Certificate]:
+    """None if g(base -+ delta, M) straddle 0, delta = 1e-9 (1 + |base|), else class_m.inverse."""
+    delta = 1e-9 * (1.0 + abs(base))
+    below, above = (g.evaluate(base + side, m, checked=False) for side in (-delta, delta))
+    return None if below <= 0.0 <= above else Certificate(
+        kind="class_m.inverse", witnesses={"witness": g.name, "M": m, "t_zero": base},
+        inequality_values={"g_below": below, "g_above": above}, margin=max(below, -above),
+        description=f"{g.which}(t, M) keeps one sign on t = {base:g} +- {delta:g}, "
+                    f"so {g.which}(-, M)^{{-1}}(0) = {base:g} is not its zero crossing",
+        recheck=lambda: max(g.evaluate(base - delta, m), -g.evaluate(base + delta, m)))
+
+
 def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                   cfg: SampleConfig):
     """Check witness conditions 1 to 4 for (g1, g2) against the operator.
 
-    Condition 1: monotone bijection of t on a log grid spanning +-1e6 (stretched
-    past |g(0, M)| = 1e6), with a growth probe at the ends. Condition 2: continuity of M -> g(-, M)^{-1}(0)
-    under shrinking perturbations (a Hoelder-tolerant two-scale test).
-    Conditions 3 and 4: the per-side inequalities, first on a deterministic
-    divergence ladder (lambda_1 walking to -infinity along the constructions
-    that break non-members) and then on random ordered pairs. Returns a
-    PassReport or the first violation as a Certificate naming the condition.
+    Condition 1: monotone bijection of t on a log grid spanning +-1e6 (stretched past
+    |g(0, M)| = 1e6), with a growth probe at the ends. Condition 2: continuity of M ->
+    g(-, M)^{-1}(0) under shrinking perturbations (a Hoelder-tolerant two-scale test), then
+    that value as g's zero crossing (``class_m.inverse``). Conditions 3 and 4: the per-side
+    inequalities, first on a deterministic divergence ladder (lambda_1 walking to -infinity
+    along the constructions that break non-members) and then on random ordered pairs.
+    Returns a PassReport or the first violation as a Certificate naming the condition.
     """
     omega1 = _witness_omega(g1, cfg)
     omega2 = _witness_omega(g2, cfg)
@@ -530,11 +535,11 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
 
     condition1 = (_condition1(g, m) for i in range(min(32, cfg.trials))
                   for m in [_sym_draw(_rng(cfg.seed, _PHASE_COND1, i), n, cfg.scale)]
-                  for g in (g1, g2) if _in_domain_s(g, m))
+                  for g in (g1, g2) if g.domain_S(m))
 
-    # Condition 2: two-scale continuity probe for the inverse at zero. The
-    # fine perturbation is 1000x smaller; a continuous (even merely Hoelder)
-    # map settles well below 0.75x the coarse response, a jump does not.
+    # Condition 2: two-scale continuity probe for the inverse at zero. The fine perturbation
+    # is 1000x smaller; a continuous (even merely Hoelder) map settles well below 0.75x the
+    # coarse response, a jump does not. Where it settles, base must be g's zero crossing.
     def condition2():
         for i in range(min(16, cfg.trials)):
             rng = _rng(cfg.seed, _PHASE_COND2, i)
@@ -547,12 +552,12 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
             coarse = SymmetricMatrix(m.entries + 1e-2 * direction.entries)
             fine = SymmetricMatrix(m.entries + 1e-5 * direction.entries)
             for g in (g1, g2):
-                if not (_in_domain_s(g, m) and _in_domain_s(g, coarse) and _in_domain_s(g, fine)):
+                if not (g.domain_S(m) and g.domain_S(coarse) and g.domain_S(fine)):
                     continue
                 base = g.inv_at_zero(m, checked=False)
                 d_coarse = abs(g.inv_at_zero(coarse, checked=False) - base)
                 d_fine = abs(g.inv_at_zero(fine, checked=False) - base)
-                yield None if not d_fine > max(0.75 * d_coarse, 1e-7) else Certificate(
+                yield Certificate(
                     kind="class_m.condition2",
                     witnesses={"witness": g.name, "M": m, "direction": direction},
                     inequality_values={"response_coarse": d_coarse, "response_fine": d_fine},
@@ -562,11 +567,11 @@ def check_class_m(op: OperatorDescriptor, g1: ClassMWitness, g2: ClassMWitness,
                     recheck=lambda g=g, m=m, coarse=coarse, fine=fine:
                         abs(g.inv_at_zero(fine) - g.inv_at_zero(m))
                         - 0.75 * abs(g.inv_at_zero(coarse) - g.inv_at_zero(m)),
-                )
+                ) if d_fine > max(0.75 * d_coarse, 1e-7) else _inverse_check(g, m, base)
 
     # The draws and the ladder decide each pair's domain once, so the checks skip it.
-    admits3 = lambda x, m: _in_domain_s(g1, m) and op.in_domain(omega1, x)
-    admits4 = lambda y, m: _in_domain_s(g2, m) and op.in_domain(omega2, y)
+    admits3 = lambda x, m: g1.domain_S(m) and op.in_domain(omega1, x)
+    admits4 = lambda y, m: g2.domain_S(m) and op.in_domain(omega2, y)
 
     def side_check(kind, omega, g, pos, sign, name, value_key, description):
         """Condition 3 (sign 1): -F(omega, X) <= g1(lambda_1(X), M); condition 4 (sign -1):
@@ -694,6 +699,8 @@ def _cert_k_hessian(dim: int = 3, k: int = 2, n: int = 5) -> Certificate:
             )
         rows.append({"n": nn, "neg_F": formula, "lambda1": -nn})
     n_last = n * 2**4
+    if rows[-1]["neg_F"] + n_last > sys.float_info.max:  # the margin is the largest value
+        raise BadParams(f"n = {n} is too large: the ladder's values do not fit a float")
     x_last = _double_spike(dim, float(n_last))
     return Certificate(
         kind="counterexample.k_hessian",

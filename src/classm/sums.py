@@ -369,7 +369,8 @@ def verify_conclusion(op: OperatorDescriptor, witnesses, tf: TestFunction,
         implications.append(row)
 
     x_lim, y_lim = limits
-    diag = block_compose(x_lim, np.zeros((n, n)), y_lim.negated()).assemble()
+    zero = np.zeros((n, n))
+    diag = SymmetricMatrix(np.block([[x_lim.entries, zero], [zero, -y_lim.entries]]))
     upper_ok = loewner_leq(diag, a.assemble(), EQ1_TOL)
 
     base = theorem_lower_bounds(g1, g2, a.E, a.D)
@@ -384,7 +385,7 @@ def verify_conclusion(op: OperatorDescriptor, witnesses, tf: TestFunction,
         "lambda1_X_limit": float(x_lim.eigenvalues()[0]),
         "lambdaN_Y_limit": float(y_lim.eigenvalues()[-1]),
         "limit_lower_X_ok": float(x_lim.eigenvalues()[0]) >= base.lower_X - EQ1_TOL,
-        "limit_lower_negY_ok": float(y_lim.negated().eigenvalues()[0]) >= base.lower_negY - EQ1_TOL,
+        "limit_lower_negY_ok": -float(y_lim.eigenvalues()[-1]) >= base.lower_negY - EQ1_TOL,
     })
     return BoundReport(
         lower_X=base.lower_X,

@@ -447,14 +447,10 @@ def elementary_symmetric(k: int, values) -> float:
 
 
 def elementary_symmetric_prefix(values, kmax: int) -> list:
-    """[S_1, ..., S_kmax] of ``values`` in one recurrence pass."""
-    vals = list(values)
-    n = len(vals)
-    if not isinstance(kmax, int) or kmax < 1 or kmax > n:
-        raise BadArgument(f"kmax must be an integer in 1..{n}, got {kmax!r}")
+    """[S_1, ..., S_kmax] of ``values`` in one recurrence pass; the callers check kmax."""
     e = [0] * (kmax + 1)
     e[0] = 1
-    for x in vals:
+    for x in values:
         for j in range(kmax, 0, -1):
             e[j] = e[j] + x * e[j - 1]
     return e[1:]

@@ -151,6 +151,22 @@ class TestExitCodes:
          "--seed", "1", "--scale", "1e300"],
         ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "3", "--trials", "20",
          "--seed", "1", "--scale", "4e307"],
+        # sizes past the N <= 16 scope, refused before anything of that size is built
+        ["check-class-m", "--op", P3, "--dim", "17"],
+        ["check-ellipticity", "--op", '{"family":"inf_laplace"}', "--dim", "100000000",
+         "--trials", "1"],
+        ["counterexample", "--name", "bounded_h", "--dim", "100000000"],
+        ["sums-demo", "--dim", "2", "--op", LIN, "--terms", "10001"],
+        ["sums-demo", "--dim", "2", "--op", LIN, "--terms", "100000000"],
+        # k_hessian ladder values past the float range
+        *(["counterexample", "--name", "k_hessian", "--dim", "3", "--k", "2", "--n", str(10**e)]
+          for e in (153, 305, 400)),
+        # a witness built for more dimensions than the matrices have
+        ["check-class-m", "--op", '{"family":"k_hessian","k":3}', "--dim", "2", "--lam", "1",
+         "--trials", "5"],
+        # a slope so small that the bounds overflow
+        ["bounds", "--route", "corollary", "--op", LIN, "--E", EYE2, "--D", EYE2,
+         "--lam", "1e-320"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -194,6 +210,18 @@ class TestExitCodes:
         blame = "internal error" if error is errors.ToolkitError else "error"
         assert err == f"{blame}: boom\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["check-class-m", "--op", '{"family":"k_hessian","k":3}', "--dim", "2", "--lam", "1",
+          "--trials", "5"], "k_hessian(k=3) applied to a 2x2 matrix"),
+        (["check-ellipticity", "--op", P3, "--dim", "0"], "--dim must be in 1..16, got 0"),
+        (["sums-demo", "--dim", "2", "--op", LIN, "--terms", "10001"],
+         "--terms must be <= 10000, got 10001"),
+        (["bounds", "--route", "corollary", "--op", LIN, "--E", EYE2, "--D", EYE2,
+          "--lam", "1e-320"], "bound report scalars must be finite"),
+    ])
+    def test_input_error_messages(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_not_in_class_m_without_fallback_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sums-demo", "--alpha", "1", "--dim", "2",
                                  "--op", '{"family":"k_hessian","k":2}')
@@ -203,6 +231,8 @@ class TestExitCodes:
 
 _FLOATS = ["0", "-1", "0.5", "2", "1e-320", "1e200", "1e308", "-1e300", "inf", "-inf", "nan", "x"]
 _SMALL_INTS = ["-1", "0", "1", "2", "3", "x", "1e3"]  # small, so every command stays cheap
+_HUGE_INTS = _SMALL_INTS + [str(10**305)]  # for flags whose size allocates nothing
+_SIZES = _SMALL_INTS + ["100000000"]  # refused by the CLI before anything of that size is built
 _OPS = [P3, LIN, '{"family":"p_laplace","p":1}', '{"family":"p_laplace","p":1e308}',
         '{"family":"linear_uniform","theta":1e308}', '{"family":"linear_uniform","theta":-1}',
         '{"family":"k_hessian","k":2}', '{"family":"inf_laplace"}', '{"family":"inf_laplace_homog"}',
@@ -213,24 +243,24 @@ _MATRICES = [EYE2, '{"dim":1,"rows":[[1]]}', '{"dim":2,"rows":[[1e308,1e308],[1e
              '{"dim":2,"rows":[[1e200,0],[0,-1e200]]}', '{"dim":2,"rows":[[1e-320,0],[0,1]]}',
              "@/nonexistent"]
 _NUS = ["[1,0]", "[0,0]", "[1e308,1e308]", "[1]", '["x",1]']
-_SAMPLING = {"--dim": _SMALL_INTS, "--trials": _SMALL_INTS, "--scale": _FLOATS,
+_SAMPLING = {"--dim": _SIZES, "--trials": _SMALL_INTS, "--scale": _FLOATS,
              "--seed": ["-1", "0", "3", "x", "18446744073709551616"]}
 # command -> (flags always given, flags sometimes given), each with its candidate values
 _COMMANDS = {
     "catalog": ({}, {}),
-    "check-ellipticity": ({"--op": _OPS, "--dim": _SMALL_INTS, "--trials": _SMALL_INTS}, _SAMPLING),
-    "check-class-u": ({"--op": _OPS, "--dim": _SMALL_INTS, "--trials": _SMALL_INTS},
+    "check-ellipticity": ({"--op": _OPS, "--dim": _SIZES, "--trials": _SMALL_INTS}, _SAMPLING),
+    "check-class-u": ({"--op": _OPS, "--dim": _SIZES, "--trials": _SMALL_INTS},
                       {**_SAMPLING, "--lam": _FLOATS, "--hconst": _FLOATS}),
-    "check-class-m": ({"--op": _OPS, "--dim": _SMALL_INTS, "--trials": _SMALL_INTS},
+    "check-class-m": ({"--op": _OPS, "--dim": _SIZES, "--trials": _SMALL_INTS},
                       {**_SAMPLING, "--lam": _FLOATS, "--hconst": _FLOATS, "--nu": _NUS}),
     "bounds": ({"--op": _OPS, "--E": _MATRICES, "--D": _MATRICES},
                {"--route": ["theorem", "corollary"], "--lam": _FLOATS, "--hconst": _FLOATS,
                 "--nu": _NUS}),
     "counterexample": ({"--name": list(_COUNTEREXAMPLES)},
-                       {"--dim": _SMALL_INTS, "--k": _SMALL_INTS, "--n": _SMALL_INTS,
+                       {"--dim": _SIZES, "--k": _HUGE_INTS, "--n": _HUGE_INTS,
                         "--c": _FLOATS, "--p": _FLOATS, "--lam": _FLOATS, "--hconst": _FLOATS,
-                        "--d-root": _SMALL_INTS}),
-    "sums-demo": ({"--op": _OPS, "--dim": _SMALL_INTS, "--terms": _SMALL_INTS},
+                        "--d-root": _HUGE_INTS}),
+    "sums-demo": ({"--op": _OPS, "--dim": _SIZES, "--terms": _SIZES},
                   {"--alpha": _FLOATS, "--eps0": _FLOATS, "--ratio": _FLOATS,
                    "--slack": _FLOATS, "--lam": _FLOATS, "--hconst": _FLOATS}),
 }
@@ -353,6 +383,19 @@ class TestReports:
             assert code == 0
             bounds[route] = (obj["lower_X"], obj["lower_negY"])
         assert bounds["corollary"] == bounds["theorem"]
+
+    def test_trace_corollary_route_defaults_to_slope_1(self, capsys):
+        """-sum_j lambda_j = -tr X meets the Class U gap at slope 1 exactly, so the corollary
+        route needs no --lam for eig_sum(identity) and matches the theorem route at --lam 1."""
+        op = '{"family":"eig_sum","h":"identity"}'
+        e = '{"dim":3,"rows":[[1,0.5,0],[0.5,2,0],[0,0,-3]]}'
+        d = '{"dim":3,"rows":[[0.3,0,-0.2],[0,1,0],[-0.2,0,1.5]]}'
+        code, cor = run_json(capsys, "bounds", "--op", op, "--E", e, "--D", d,
+                             "--route", "corollary")
+        assert code == 0 and cor["details"]["lam"] == 1.0
+        code, thm = run_json(capsys, "bounds", "--op", op, "--E", e, "--D", d, "--lam", "1")
+        assert code == 0
+        assert (cor["lower_X"], cor["lower_negY"]) == (thm["lower_X"], thm["lower_negY"])
 
     @pytest.mark.parametrize("family", ["p_laplace", "p_laplace_homog"])
     def test_laplacian_corollary_route_defaults_to_slope_1(self, capsys, family):

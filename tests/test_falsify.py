@@ -37,8 +37,11 @@ from classm import (
     inf_laplace,
     k_hessian,
     linear_uniform,
+    odd_root_monotone,
     p_laplace,
+    theorem_lower_bounds,
     unit_jet,
+    witness_eig_sum,
     witness_p_laplace,
 )
 from classm.errors import BadArgument, InvalidMatrix, NonFiniteValue, ToolkitError
@@ -318,6 +321,57 @@ class TestClassM:
         assert isinstance(cert, Certificate)
         assert cert.kind in ("class_m.condition1", "class_m.condition2")
 
+    def test_shifted_inverse_certified(self):
+        """A closed-form inverse shifted by +5 stays continuous, so only the zero-crossing
+        check sees it; the shift would have raised the theorem's bound from -12 to -7."""
+        g1, g2 = witness_p_laplace(4, unit_jet(3))
+        shifted = dataclasses.replace(g1, inv_at_zero_fn=lambda m: g1.inv_at_zero_fn(m) + 5.0)
+        e = SymmetricMatrix.diagonal([1.0, 2.0, 3.0])
+        assert theorem_lower_bounds(g1, g2, e, e).lower_X == -12.0
+        assert theorem_lower_bounds(shifted, g2, e, e).lower_X == -7.0
+        assert g1.evaluate(-7.0, e) == 5.0
+        cert = check_class_m(p_laplace(4), shifted, g2, SampleConfig(seed=1, trials=200, dim=3))
+        assert isinstance(cert, Certificate)
+        assert cert.kind == "class_m.inverse"
+        assert cert.margin == pytest.approx(5.0)
+        assert cert.reverify() == cert.margin
+        json.dumps(cert.to_json_obj(), allow_nan=False)
+
+    def test_witness_parameter_error_is_not_a_domain_miss(self):
+        """k_hessian(3) cannot act on 2x2 matrices: the embedding's domain question raises
+        that, rather than reading it as 'outside the domain' until sampling runs dry."""
+        op = k_hessian(3)
+        g1, g2 = class_u_to_class_m(op, class_u_constant(1.0), unit_jet(2))
+        with pytest.raises(BadParams, match=r"k_hessian\(k=3\) applied to a 2x2 matrix"):
+            check_class_m(op, g1, g2, SampleConfig(seed=0, trials=5, dim=2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), exp=st.floats(16.0, 20.0),
+           d=st.sampled_from((3, 5)))
+    def test_no_false_inverse_on_flat_root_witnesses(self, n, seed, exp, d):
+        """eig_sum(odd_root(d)) with eigenvalues near 10^exp puts the zero crossing near
+        |t| = 10^(exp (d - 1) / d) ~ 1e18 for d = 3, where g is flat: still no certificate."""
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** exp
+        m = SymmetricMatrix((raw + raw.T) / 2.0)
+        for g in witness_eig_sum(odd_root_monotone(d)):
+            assert falsify._inverse_check(g, m, g.inv_at_zero(m)) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), exp=st.floats(149.0, 151.0),
+           p=st.sampled_from((1.5, 2.0, 3.0, 4.0)), homogeneous=st.booleans())
+    def test_no_false_inverse_on_steep_p_laplace_witnesses(self, n, seed, exp, p, homogeneous):
+        """|nu| near 1e150 scales g by |nu|^(p - 2), up to 1e302 at p = 4 and down to 1e-75
+        at p = 1.5: no certificate either way."""
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-10.0, 10.0, (n, n))
+        m = SymmetricMatrix((raw + raw.T) / 2.0)
+        nu = np.zeros(n)
+        nu[0] = 10.0 ** exp
+        omega = JetPoint(np.zeros(n), 0.0, nu)
+        for g in witness_p_laplace(p, omega, homogeneous=homogeneous):
+            assert falsify._inverse_check(g, m, g.inv_at_zero(m)) is None
+
     def test_overflowing_witness_values_are_refused(self):
         op = linear_uniform(1e308)
         g1, g2 = auto_witness_pair(op, unit_jet(2), unit_jet(2), lam=1e-320, h_const=1e308)
@@ -421,6 +475,10 @@ class TestCounterexamples:
             counterexample("power_not_u", d=3, dim=2, lam=-1.0)
         with pytest.raises(BadParams):
             counterexample("k_hessian", bogus=1)
+        for n in (10**153, 10**305, 10**400):  # ladder values past the float range
+            with pytest.raises(BadParams, match="do not fit a float"):
+                counterexample("k_hessian", dim=3, k=2, n=n)
+        assert counterexample("k_hessian", dim=3, k=2, n=10**152).reverify() > 0.0
 
     def test_nan_margin_fails_reverification(self):
         cert = Certificate(kind="nan", witnesses={}, inequality_values={}, margin=math.nan,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classm import (
     BadArgument,
@@ -49,6 +51,23 @@ def shipped_pairs(dim=3):
         w = class_u_constant(lam, 0.0)
         triples.append((op, *class_u_to_class_m(op, w, om)))
     return triples
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from((1e-3, 1.0, 10.0)))
+def test_closed_forms_are_the_bisected_zero_crossing(n, seed, scale):
+    """Every shipped closed-form g(-, M)^{-1}(0) against bisection on g itself, which
+    shares no code with the closed forms."""
+    m = random_symmetric(np.random.default_rng(seed), n, scale)
+    om = unit_jet(n)
+    witnesses = [g for triple in shipped_pairs(n) for g in triple[1:]]
+    witnesses += [*witness_p_laplace(4.0, om, homogeneous=True), *witness_p_laplace(2.0, om),
+                  *witness_eig_sum(odd_root_monotone(5))]
+    for g in witnesses:
+        closed = g.inv_at_zero(m)
+        assert abs(closed - bisect_inverse_at_zero(g.eval_fn, m)) <= 1e-8 * (1.0 + abs(closed)), \
+            g.name
 
 
 class TestClassUEmbedding:
@@ -225,9 +244,11 @@ class TestConditions:
                     (op.name, g2.name)
 
     def test_lambda_min_reflection_identity(self, rng):
-        for _ in range(200):
-            m = random_symmetric(rng, 4, scale=3.0)
-            assert abs(float(m.eigenvalues()[0]) + float(m.negated().eigenvalues()[-1])) <= 1e-10
+        """Jacobi is odd under negation: the spectrum of -M is that of M reversed and
+        negated, to the bit, so lambda_1(-Y) may be read as -lambda_N(Y)."""
+        for i in range(320):
+            m = random_symmetric(rng, 1 + i % 16, scale=3.0)
+            assert m.negated().eigenvalues().tobytes() == (-m.eigenvalues()[::-1]).tobytes()
 
 
 class TestBoundRoutes:
