@@ -46,6 +46,7 @@ from .falsify import (
 from .operators import JetPoint, OperatorDescriptor, catalog, operator_from_json, unit_jet
 from .symmat import (
     SymmetricMatrix,
+    _is_number,
     matrix_from_json_obj,
     matrix_to_json_obj,
     parse_matrix_text,
@@ -89,7 +90,7 @@ def _parse_matrix(text: str) -> SymmetricMatrix:
 
 def _parse_vector(text: str) -> np.ndarray:
     obj = json.loads(text)
-    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) for v in obj):
+    if not isinstance(obj, list) or not all(map(_is_number, obj)):
         raise BadParams(f"expected a JSON list of numbers, got {text!r}")
     return np.asarray(obj, dtype=float)
 
@@ -146,6 +147,12 @@ def _finish(obj: dict, outcome: str, args) -> int:
     """outcome is 'pass' or 'violation'; exit 0 iff it matches --expect."""
     _emit(obj, args)
     return 0 if (outcome == "pass") == (args.expect == "pass") else 1
+
+
+def _finish_certificate(cert: Certificate, args) -> int:
+    """Re-check a certificate's margin, then report it as a violation."""
+    cert.reverify()
+    return _finish(cert.to_json_obj(), "violation", args)
 
 
 def _add_common(sub, default_expect: str = "pass"):
@@ -274,8 +281,7 @@ def _cmd_check_class_m(args) -> int:
     try:
         g1, g2 = auto_witness_pair(op, omega_x, omega_y, lam=args.lam, h_const=args.hconst)
     except NotInClassM:
-        cert = _fallback_certificate(op, args.dim)
-        return _finish(cert.to_json_obj(), "violation", args)
+        return _finish_certificate(_fallback_certificate(op, args.dim), args)
     return _finish_check(args, check_class_m, op, g1, g2)
 
 
@@ -302,8 +308,7 @@ def _cmd_counterexample(args) -> int:
     params = inspect.signature(_COUNTEREXAMPLES[args.name]).parameters
     cert = counterexample(args.name, **{name: getattr(args, name) for name in params
                                         if getattr(args, name, None) is not None})
-    cert.reverify()
-    return _finish(cert.to_json_obj(), "violation", args)
+    return _finish_certificate(cert, args)
 
 
 def _cmd_sums_demo(args) -> int:

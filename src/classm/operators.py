@@ -30,6 +30,7 @@ from .errors import BadParams, NonFiniteValue, OutOfDomain, ToolkitError
 from .symmat import (
     GAMMA_CONE_TOL,
     SymmetricMatrix,
+    _is_number,
     _lambda1_at_least,
     elementary_symmetric,
     gamma_k_member,
@@ -145,7 +146,7 @@ def arctan_monotone() -> MonotoneFunction:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OperatorDescriptor:
     """One catalog entry: a name, its parameters, a domain predicate, and F.
 
@@ -156,8 +157,9 @@ class OperatorDescriptor:
 
     name: str
     family: str
-    params: Mapping[str, Any]
-    in_domain: Callable[[JetPoint, SymmetricMatrix], bool] = field(repr=False)
+    params: Mapping[str, Any] = field(default_factory=dict)
+    in_domain: Callable[[JetPoint, SymmetricMatrix], bool] = field(
+        default=lambda w, x_mat: True, repr=False)
     raw_evaluate: Callable[[JetPoint, SymmetricMatrix], float] = field(repr=False)
 
     def evaluate(self, w: JetPoint, x: SymmetricMatrix, *, checked: bool = True) -> float:
@@ -199,19 +201,26 @@ def _jsonable(value, tag: Optional[str] = None):
     return value
 
 
-def _as_constant_matrix_callback(value, what: str):
-    if callable(value):
-        return value, False
+def _psd_sample(value) -> SymmetricMatrix:
+    """A value of sigma as a matrix; BadParams unless it is square and positive semi-definite."""
     arr = value.entries if isinstance(value, SymmetricMatrix) else np.asarray(value, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise BadParams(f"{what} must be a square matrix, got shape {arr.shape}")
-    const = SymmetricMatrix(arr)
-    return (lambda _x: const), True
-
-
-def _check_psd_sample(mat: SymmetricMatrix, what: str):
+        raise BadParams(f"sigma must be a square matrix, got shape {arr.shape}")
+    mat = SymmetricMatrix(arr)
     if not _lambda1_at_least(mat, -1e-9):
-        raise BadParams(f"{what} sample is not positive semi-definite")
+        raise BadParams("sigma sample is not positive semi-definite")
+    return mat
+
+
+def _of_x(value, convert):
+    """A coefficient as one function of x: None when omitted, a constant converted once,
+    a callback with its value converted at each x."""
+    if value is None:
+        return None
+    if callable(value):
+        return lambda x: convert(value(x))
+    const = convert(value)
+    return lambda _x: const
 
 
 def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescriptor:
@@ -225,47 +234,29 @@ def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescript
     if not theta > 0.0:
         raise BadParams(f"theta must be > 0, got {theta}")
 
-    sigma_cb = None
-    sigma_const = False
-    if sigma is not None:
-        sigma_cb, sigma_const = _as_constant_matrix_callback(sigma, "sigma")
-        if sigma_const:
-            _check_psd_sample(sigma_cb(None), "sigma")
-    if b is not None and not callable(b):
-        b_arr = np.asarray(b, dtype=float)
-        b_cb = lambda _x: b_arr
-    else:
-        b_cb = b
-    if c is not None and not callable(c):
-        c_val = float(c)
-        c_cb = lambda _x: c_val
-    else:
-        c_cb = c
+    sigma_at = _of_x(sigma, _psd_sample)
+    b_at = _of_x(b, lambda v: np.asarray(v, dtype=float))
+    c_at = _of_x(c, float)
 
     def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
         a = theta * np.eye(x_mat.dim)
-        if sigma_cb is not None:
-            s = sigma_cb(w.x)
-            s = s if isinstance(s, SymmetricMatrix) else SymmetricMatrix(np.asarray(s, dtype=float))
+        if sigma_at is not None:
+            s = sigma_at(w.x)
             if s.dim != x_mat.dim:
                 raise BadParams(f"sigma(x) has dim {s.dim}, matrix has dim {x_mat.dim}")
-            if not sigma_const:
-                _check_psd_sample(s, "sigma(x)")
             a = a + s.entries
         val = -float(np.trace(a @ x_mat.entries))
-        if b_cb is not None:
-            val += float(np.dot(np.asarray(b_cb(w.x), dtype=float), w.nu))
-        if c_cb is not None:
-            val += float(c_cb(w.x)) * w.r
+        if b_at is not None:
+            val += float(np.dot(b_at(w.x), w.nu))
+        if c_at is not None:
+            val += c_at(w.x) * w.r
         return val
 
-    params = {"theta": theta, "sigma": "0" if sigma is None else "set",
-              "b": "0" if b is None else "set", "c": "0" if c is None else "set"}
     return OperatorDescriptor(
         name=f"linear_uniform(theta={theta:g})",
         family="linear_uniform",
-        params=params,
-        in_domain=lambda w, x_mat: True,
+        params={"theta": theta, "sigma": "0" if sigma is None else "set",
+                "b": "0" if b is None else "set", "c": "0" if c is None else "set"},
         raw_evaluate=raw,
     )
 
@@ -308,8 +299,6 @@ def inf_laplace() -> OperatorDescriptor:
     return OperatorDescriptor(
         name="inf_laplace",
         family="inf_laplace",
-        params={},
-        in_domain=lambda w, x_mat: True,
         raw_evaluate=lambda w, x_mat: -float(w.nu @ x_mat.entries @ w.nu),
     )
 
@@ -325,7 +314,6 @@ def inf_laplace_homog() -> OperatorDescriptor:
     return OperatorDescriptor(
         name="inf_laplace_homog",
         family="inf_laplace_homog",
-        params={},
         in_domain=lambda w, x_mat: w._nu_norm >= GRAD_NORM_FLOOR,
         raw_evaluate=raw,
     )
@@ -369,7 +357,6 @@ def eig_sum(h: MonotoneFunction) -> OperatorDescriptor:
         name=f"eig_sum({h.name})",
         family="eig_sum",
         params={"h": h},
-        in_domain=lambda w, x_mat: True,
         raw_evaluate=raw,
     )
 
@@ -379,8 +366,6 @@ def sqrt_gradient() -> OperatorDescriptor:
     return OperatorDescriptor(
         name="sqrt_gradient",
         family="sqrt_gradient",
-        params={},
-        in_domain=lambda w, x_mat: True,
         raw_evaluate=lambda w, x_mat: -x_mat.trace() - math.sqrt(w._nu_norm),
     )
 
@@ -415,6 +400,7 @@ def make_operator(family: str, **params) -> OperatorDescriptor:
 _MONOTONE_BY_NAME = {
     "identity": identity_monotone,
     "arctan": arctan_monotone,
+    "odd_root": odd_root_monotone,
 }
 
 
@@ -432,7 +418,7 @@ def operator_from_json(spec) -> OperatorDescriptor:
     if family is None:
         raise BadParams("operator spec is missing the 'family' field")
     for name, value in spec.items():
-        if name != "h" and not _is_number(value):
+        if name != "h" and not _numbers_only(value):
             raise BadParams(f"field {name!r} must hold numbers only, got {value!r}")
     try:
         if family == "eig_sum":
@@ -446,11 +432,9 @@ def operator_from_json(spec) -> OperatorDescriptor:
         raise BadParams(f"bad fields for family {family!r}: {exc}") from exc
 
 
-def _is_number(value) -> bool:
-    """A JSON number or nested list of them; Python would coerce booleans and strings."""
-    if isinstance(value, list):
-        return all(map(_is_number, value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _numbers_only(value) -> bool:
+    """A JSON number or a list of them nested to any depth."""
+    return all(map(_numbers_only, value)) if isinstance(value, list) else _is_number(value)
 
 
 def _integer_field(name: str, value) -> int:
@@ -462,19 +446,9 @@ def _integer_field(name: str, value) -> int:
 
 def _eig_sum_from_json(spec: dict) -> OperatorDescriptor:
     hname = spec.pop("h", None)
-    if hname == "odd_root":
-        d = spec.pop("d", None)
-        if d is None:
-            raise BadParams("eig_sum with h='odd_root' needs an odd integer field 'd'")
-        h = odd_root_monotone(_integer_field("d", d))
-    elif hname in _MONOTONE_BY_NAME:
-        h = _MONOTONE_BY_NAME[hname]()
-    else:
-        raise BadParams(f"unknown monotone function {hname!r}; known: "
-                        f"{sorted(_MONOTONE_BY_NAME) + ['odd_root']}")
-    if spec:
-        raise BadParams(f"unexpected fields for eig_sum: {sorted(spec)}")
-    return eig_sum(h)
+    if hname not in _MONOTONE_BY_NAME:
+        raise BadParams(f"unknown monotone function {hname!r}; known: {sorted(_MONOTONE_BY_NAME)}")
+    return eig_sum(_MONOTONE_BY_NAME[hname](**{k: _integer_field(k, v) for k, v in spec.items()}))
 
 
 def catalog() -> list[dict]:

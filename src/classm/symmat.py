@@ -603,6 +603,11 @@ def parse_matrix_text(text: str) -> SymmetricMatrix:
     return SymmetricMatrix(np.array(data))
 
 
+def _is_number(value) -> bool:
+    """A JSON number: not a boolean or a string, which Python would coerce."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def matrix_to_json_obj(x: SymmetricMatrix) -> dict:
     return {"dim": x.dim, "rows": [[float(v) for v in row] for row in x.entries]}
 
@@ -610,14 +615,10 @@ def matrix_to_json_obj(x: SymmetricMatrix) -> dict:
 def matrix_from_json_obj(obj) -> SymmetricMatrix:
     if not isinstance(obj, dict) or set(obj.keys()) != {"dim", "rows"}:
         raise InvalidMatrix(f"matrix JSON must have exactly the keys dim and rows, got {obj!r}")
-    n = obj["dim"]
-    rows = obj["rows"]
-    if not isinstance(n, int) or n < 1:
+    n, rows = obj["dim"], obj["rows"]
+    if type(n) is not int or n < 1:
         raise InvalidMatrix(f"dim must be a positive integer, got {n!r}")
-    try:
-        entries = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidMatrix(f"rows must be an {n}x{n} nested list of numbers: {exc}") from exc
-    if entries.shape != (n, n):
-        raise InvalidMatrix(f"rows must be an {n}x{n} nested list")
-    return SymmetricMatrix(entries)
+    if not (isinstance(rows, list) and len(rows) == n and all(
+            isinstance(row, list) and len(row) == n and all(map(_is_number, row)) for row in rows)):
+        raise InvalidMatrix(f"rows must be an {n}x{n} nested list of numbers")
+    return SymmetricMatrix(np.array(rows, dtype=float))

@@ -91,6 +91,13 @@ class TestExitCodes:
         ["bounds", "--op", P3, "--E", '{"dim":2,"rows":[["a",0],[0,1]]}', "--D", EYE2],
         ["bounds", "--op", P3, "--E", '{"dim":2,"rows":[3,[0,1]]}', "--D", EYE2],
         ["bounds", "--op", P3, "--E", EYE2, "--D", EYE2, "--nu", '["x",1]'],
+        # strings and booleans in matrix JSON and --nu, which Python would coerce
+        ["bounds", "--op", '{"family":"p_laplace","p":4}', "--E",
+         '{"dim":2,"rows":[["1",0],[0,"2"]]}', "--D", '{"dim":2,"rows":[[1,0],[0,2]]}'],
+        ["bounds", "--op", P3, "--E", '{"dim":true,"rows":[[true]]}',
+         "--D", '{"dim":1,"rows":[[1.0]]}'],
+        ["check-class-m", "--op", '{"family":"p_laplace","p":4}', "--dim", "2", "--trials", "5",
+         "--nu", "[true,false]"],
         ["check-class-m", "--op", P3, "--dim", "2", "--nu", '["x",1]'],
         ["check-class-m", "--op", P3, "--dim", "0"],
         ["check-ellipticity", "--op", '{"family":"k_hessian","k":"two"}', "--dim", "2"],
@@ -218,6 +225,15 @@ class TestExitCodes:
          "--terms must be <= 10000, got 10001"),
         (["bounds", "--route", "corollary", "--op", LIN, "--E", EYE2, "--D", EYE2,
           "--lam", "1e-320"], "bound report scalars must be finite"),
+        *((["check-ellipticity", "--op", spec, "--dim", "2"], message) for spec, message in [
+            ('{"family":"eig_sum","h":"odd_root"}', "bad fields for family 'eig_sum': "
+             "odd_root_monotone() missing 1 required positional argument: 'd'"),
+            ('{"family":"eig_sum","h":"identity","d":3}', "bad fields for family 'eig_sum': "
+             "identity_monotone() got an unexpected keyword argument 'd'"),
+            ('{"family":"eig_sum","h":"odd_root","d":4}', "d must be an odd integer >= 3, got 4"),
+            ('{"family":"eig_sum","h":"nope"}',
+             "unknown monotone function 'nope'; known: ['arctan', 'identity', 'odd_root']"),
+        ]),
     ])
     def test_input_error_messages(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -352,6 +368,20 @@ class TestFallbackCertificates:
         assert code == 0
         assert obj["type"] == "certificate"
         assert obj["kind"] == kind
+
+    def test_fallback_certificate_is_reverified(self, capsys, monkeypatch):
+        real = cli.counterexample
+
+        def tampered(name, **params):
+            cert = real(name, **params)
+            return dataclasses.replace(cert, margin=cert.margin + 1.0)
+
+        monkeypatch.setattr(cli, "counterexample", tampered)
+        code, out, err = run_cli(capsys, "check-class-m", "--op", '{"family":"inf_laplace"}',
+                                 "--dim", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("internal error: certificate counterexample.inf_laplace failed "
+                              "reverification") and len(err.splitlines()) == 1
 
 
 class TestReports:

@@ -480,6 +480,20 @@ class TestCounterexamples:
                 counterexample("k_hessian", dim=3, k=2, n=n)
         assert counterexample("k_hessian", dim=3, k=2, n=10**152).reverify() > 0.0
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: check_class_m(inf_laplace(), *class_u_to_class_m(
+            inf_laplace(), class_u_constant(1.0), unit_jet(2)), small_cfg(dim=3)), BadArgument),
+        (lambda: counterexample("k_hessian", n=0), BadParams),
+        (lambda: counterexample("power_not_u", dim=1), BadParams),
+        (lambda: counterexample("p_laplace_not_u", dim=1), BadParams),
+        (lambda: counterexample("p_laplace_not_u", lam=0.0), BadParams),
+        (lambda: counterexample("bounded_h", dim=0), BadParams),
+    ], ids=["context-dim", "k_hessian-n-0", "power_not_u-dim-1", "p_laplace_not_u-dim-1",
+            "p_laplace_not_u-lam-0", "bounded_h-dim-0"])
+    def test_documented_refusals(self, call, error):
+        with pytest.raises(error):
+            call()
+
     def test_nan_margin_fails_reverification(self):
         cert = Certificate(kind="nan", witnesses={}, inequality_values={}, margin=math.nan,
                            recheck=lambda: math.nan)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from classm import (
     sqrt_gradient,
     unit_jet,
 )
-from classm.operators import MonotoneFunction
+from classm.operators import _FAMILIES, MonotoneFunction, OperatorDescriptor
 from conftest import brute_sk, random_orthogonal, random_symmetric
 
 
@@ -268,11 +269,65 @@ class TestBadParams:
         with pytest.raises(BadParams):
             make_operator("unknown_family")
 
+    @pytest.mark.parametrize("call", [
+        lambda: MonotoneFunction("overflowing", lambda t: t * 1e303),
+        lambda: linear_uniform(1.0, sigma=np.ones((2, 3))),
+        lambda: linear_uniform(1.0, sigma=lambda x: np.ones((2, 3))).evaluate(
+            unit_jet(2), SymmetricMatrix.identity(2)),
+        lambda: linear_uniform(1.0, sigma=lambda x: -np.eye(2)).evaluate(
+            unit_jet(2), SymmetricMatrix.identity(2)),
+    ], ids=["forward-not-finite", "constant-sigma-not-square", "callback-sigma-not-square",
+            "callback-sigma-not-psd"])
+    def test_documented_refusals(self, call):
+        with pytest.raises(BadParams):
+            call()
+
     def test_monotone_validation(self):
         with pytest.raises(BadParams):
             MonotoneFunction("decreasing", lambda t: -t)
         with pytest.raises(BadParams):
             MonotoneFunction("bad inverse", lambda t: t, inverse=lambda s: s + 1.0)
+
+
+class TestDescriptors:
+    _ARGS = {"linear_uniform": {"theta": 1.0}, "p_laplace": {"p": 3.0},
+             "p_laplace_homog": {"p": 3.0}, "k_hessian": {"k": 2},
+             "eig_sum": {"h": arctan_monotone()}}
+    # the descriptors that take params or in_domain from the defaults, as they printed before
+    _REPRS = {
+        "linear_uniform": "OperatorDescriptor(name='linear_uniform(theta=1)', "
+                          "family='linear_uniform', params={'theta': 1.0, 'sigma': '0', "
+                          "'b': '0', 'c': '0'})",
+        "inf_laplace": "OperatorDescriptor(name='inf_laplace', family='inf_laplace', params={})",
+        "inf_laplace_homog": "OperatorDescriptor(name='inf_laplace_homog', "
+                             "family='inf_laplace_homog', params={})",
+        "eig_sum": "OperatorDescriptor(name='eig_sum(arctan)', family='eig_sum', "
+                   "params={'h': MonotoneFunction(name='arctan', forward=<built-in function "
+                   "atan>, inverse=None, bounded_below=-1.5707963267948966, "
+                   "bounded_above=1.5707963267948966)})",
+        "sqrt_gradient": "OperatorDescriptor(name='sqrt_gradient', family='sqrt_gradient', "
+                         "params={})",
+    }
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_constructor_builds_its_family(self, family):
+        op = _FAMILIES[family][0](**self._ARGS.get(family, {}))
+        assert op.family == family
+        if family in self._REPRS:
+            assert repr(op) == self._REPRS[family]
+        if _FAMILIES[family][2] == "all (omega, X)":
+            w = JetPoint(np.zeros(2), 0.0, np.zeros(2))
+            assert op.in_domain(w, SymmetricMatrix.diagonal([-1e6, 1e6]))
+
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            OperatorDescriptor("f", "test", {}, lambda w, x: True, lambda w, x: 0.0)
+        op = OperatorDescriptor(name="f", family="test", raw_evaluate=lambda w, x: -x.trace())
+        assert op.params == {} and op.in_domain(unit_jet(1), SymmetricMatrix.identity(1))
+        nowhere = dataclasses.replace(op, in_domain=lambda w, x: False)
+        assert (nowhere.name, nowhere.raw_evaluate) == (op.name, op.raw_evaluate)
+        with pytest.raises(OutOfDomain):
+            nowhere.evaluate(unit_jet(1), SymmetricMatrix.identity(1))
 
 
 class TestJson:

@@ -8,6 +8,7 @@ from classm import (
     BadArgument,
     BadParams,
     Certificate,
+    DimMismatch,
     EpsilonSchedule,
     JetPoint,
     NonConvergent,
@@ -333,3 +334,26 @@ class TestVerifyConclusion:
         object.__setattr__(g2_bad, "context", None)   # force the tf-derived jet
         with pytest.raises(OutOfDomain):
             verify_conclusion(op, (g1, g2_bad), tf, fam, extract_limit(fam))
+
+
+def _conclusion_with_a_wider_test_function():
+    fam = quadratic_setup(dim=2)[3]
+    wide = quadratic_doubling(1.0, 3)
+    op = linear_uniform(1.0)
+    witnesses = class_u_to_class_m(op, class_u_constant(1.0), JetPoint(wide.x_hat, 0.0, wide.p))
+    return verify_conclusion(op, witnesses, wide, fam, extract_limit(fam))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: quadratic_doubling(1.0, 0), BadParams),
+    (lambda: quadratic_doubling(1.0, 2, x_hat=[0.0, 0.0, 0.0]), BadParams),
+    (lambda: EpsilonSchedule.geometric(1.0, ratio=1.0), BadArgument),
+    (lambda: verify_eq1(quadratic_setup(dim=2)[1], 0.5, SymmetricMatrix.zero(3),
+                        SymmetricMatrix.zero(3)), DimMismatch),
+    (lambda: lemma_upper_bound(quadratic_setup()[1], 0.0, quadratic_setup()[3]), BadArgument),
+    (_conclusion_with_a_wider_test_function, BadArgument),
+], ids=["doubling-dim-0", "doubling-anchor-length", "schedule-ratio-1", "eq1-pair-dim",
+        "lemma-eps0-0", "conclusion-tf-dim"])
+def test_documented_refusals(call, error):
+    with pytest.raises(error):
+        call()

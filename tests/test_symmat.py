@@ -657,3 +657,30 @@ class TestFormats:
             matrix_from_json_obj({"dim": 2})
         with pytest.raises(InvalidMatrix):
             matrix_from_json_obj({"dim": 2, "rows": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: eigen_decompose(np.eye(2)), InvalidMatrix),
+    (lambda: loewner_leq(SymmetricMatrix.identity(2), SymmetricMatrix.identity(2), tol=-1e-9),
+     BadArgument),
+    (lambda: gamma_k_member(SymmetricMatrix.identity(2), 1, tol=-1e-9), BadArgument),
+    (lambda: block_compose(SymmetricMatrix.identity(2), np.zeros((2, 3)),
+                           SymmetricMatrix.identity(2)), DimMismatch),
+    (lambda: block_compose(SymmetricMatrix.identity(2), [[0.0, math.inf], [0.0, 0.0]],
+                           SymmetricMatrix.identity(2)), InvalidMatrix),
+    (lambda: parse_matrix_text("2 2\n1 0\n0 1\n"), InvalidMatrix),
+    (lambda: parse_matrix_text("two\n1 0\n0 1\n"), InvalidMatrix),
+    (lambda: parse_matrix_text("0\n"), InvalidMatrix),
+    (lambda: parse_matrix_text("2\n1 0\n0\n"), InvalidMatrix),
+    (lambda: matrix_from_json_obj({"dim": 0, "rows": []}), InvalidMatrix),
+    (lambda: matrix_from_json_obj({"dim": True, "rows": [[True]]}), InvalidMatrix),
+    (lambda: matrix_from_json_obj({"dim": 2.0, "rows": [[1.0, 0.0], [0.0, 1.0]]}),
+     InvalidMatrix),
+    (lambda: matrix_from_json_obj({"dim": 2, "rows": [["1", 0], [0, "2"]]}), InvalidMatrix),
+    (lambda: matrix_from_json_obj({"dim": 1, "rows": [[None]]}), InvalidMatrix),
+], ids=["eigen_decompose-array", "loewner-negative-tol", "gamma-negative-tol", "block-b-shape",
+        "block-b-inf", "text-two-token-head", "text-word-head", "text-dim-0", "text-short-row",
+        "json-dim-0", "json-bool", "json-float-dim", "json-string-entries", "json-null-entry"])
+def test_documented_refusals(call, error):
+    with pytest.raises(error):
+        call()

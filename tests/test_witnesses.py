@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from classm import (
     BadArgument,
+    BadParams,
     ClassMWitness,
     DimMismatch,
     JetPoint,
@@ -369,3 +370,9 @@ class TestAutoPair:
             auto_witness_pair(eig_sum(arctan_monotone()), om, om)
         with pytest.raises(NotInClassM):
             auto_witness_pair(p_laplace(1), om, om)
+
+
+@pytest.mark.parametrize("h", ["identity", None, identity_monotone().forward])
+def test_eig_sum_witness_refuses_what_is_not_a_monotone_function(h):
+    with pytest.raises(BadParams, match="expects a MonotoneFunction"):
+        witness_eig_sum(h)
