@@ -177,13 +177,11 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
     if not 0.0 <= slack < math.inf:
         raise BadArgument(f"slack must be finite and >= 0, got {slack}")
     n = a.dim_half
-    amat = a.assemble().entries
-    a2 = amat @ amat
     eye = np.eye(n)
     slack_eye = slack * eye
     pairs = []
     for eps in sched.values:
-        w = amat + eps * a2
+        w = a.assemble().entries + eps * a.square()
         w11 = SymmetricMatrix(w[:n, :n])
         w12 = w[:n, n:]
         w22 = SymmetricMatrix(w[n:, n:])
@@ -205,14 +203,22 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
     return AdmissibleFamily(A=a, schedule=sched, pairs=tuple(pairs))
 
 
+def _diag_x_neg_y(n: int, x: SymmetricMatrix, y: SymmetricMatrix) -> SymmetricMatrix:
+    """diag(X, -Y), finite and symmetric bit for bit by construction; X and Y must be N x N."""
+    if x.dim != n or y.dim != n:
+        raise DimMismatch(f"pair dims ({x.dim}, {y.dim}) do not match blocks dim {n}")
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] = x.entries
+    out[n:, n:] = y.negated().entries
+    return SymmetricMatrix._symmetric(out)
+
+
 def _eq1_terms(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix):
     """(diag(X, -Y), A + eps A^2 - diag(X, -Y), A): the two-sided inequality holds iff
     lambda_1 of the first plus 1/eps + ||A|| and lambda_1 of the second are both >= 0."""
-    n = a.dim_half
-    amat = a.assemble()
-    w = SymmetricMatrix(amat.entries + eps * (amat.entries @ amat.entries))
-    diag = block_compose(x, np.zeros((n, n)), y.negated()).assemble()
-    return diag, SymmetricMatrix(w.entries - diag.entries), amat
+    diag = _diag_x_neg_y(a.dim_half, x, y)
+    w = SymmetricMatrix(a.assemble().entries + eps * a.square())
+    return diag, SymmetricMatrix(w.entries - diag.entries), a.assemble()
 
 
 def _eq1_margins(a: BlockMatrix2N, eps: float, x: SymmetricMatrix,
@@ -227,9 +233,6 @@ def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMat
     """Recheck both sides of the two-sided inequality for one pair, at tolerance EQ1_TOL."""
     if eps <= 0.0:
         raise BadArgument(f"eps must be > 0, got {eps}")
-    n = a.dim_half
-    if x.dim != n or y.dim != n:
-        raise DimMismatch(f"pair dims ({x.dim}, {y.dim}) do not match blocks dim {n}")
     diag, gap, amat = _eq1_terms(a, eps, x, y)
     # fl(1/eps) <= fl(1/eps + ||A||), so a diag(X, -Y) that clears -1/eps needs no ||A||
     return ((_lambda1_at_least(diag, -EQ1_TOL, 1.0 / eps)
@@ -261,7 +264,7 @@ def lemma_upper_bound(a: BlockMatrix2N, eps0: float, family: AdmissibleFamily):
         raise BadArgument("the family's schedule must lie inside (0, eps0)")
     n = a.dim_half
     (e_tilde, d_tilde), (bound_x, bound_y) = _upper_bounds(a, eps0)
-    a2 = a.assemble().entries @ a.assemble().entries
+    a2 = a.square()
     scale = max(1.0, float(np.max(np.abs(a2))))
     if (float(np.max(np.abs(a2[:n, :n] - e_tilde.entries))) > 1e-9 * scale
             or float(np.max(np.abs(a2[n:, n:] - d_tilde.entries))) > 1e-9 * scale):
@@ -369,9 +372,7 @@ def verify_conclusion(op: OperatorDescriptor, witnesses, tf: TestFunction,
         implications.append(row)
 
     x_lim, y_lim = limits
-    zero = np.zeros((n, n))
-    diag = SymmetricMatrix(np.block([[x_lim.entries, zero], [zero, -y_lim.entries]]))
-    upper_ok = loewner_leq(diag, a.assemble(), EQ1_TOL)
+    upper_ok = loewner_leq(_diag_x_neg_y(n, x_lim, y_lim), a.assemble(), EQ1_TOL)
 
     base = theorem_lower_bounds(g1, g2, a.E, a.D)
     details = dict(base.details)

@@ -1,18 +1,18 @@
 """Dense symmetric-matrix kernel.
 
 Everything here is desk scale: dense storage, dimensions up to 16, and a
-deterministic cyclic Jacobi eigensolver (no LAPACK nondeterminism, no
-external solver dependency; for N <= 8 the eigenvalue sweeps run as generated
-straight-line code with the loop's float operations in the loop's order). The
-module provides
+deterministic cyclic Jacobi eigensolver (no LAPACK nondeterminism; for N <= 8
+the eigenvalue sweeps run as generated straight-line code with the loop's
+float operations in the loop's order). The module provides
 
   * ``SymmetricMatrix`` / ``Spectrum`` / ``BlockMatrix2N`` value types; a
     matrix is checked in one pass over Python floats and stored as given
     when it is symmetric bit for bit,
   * the Loewner partial order test ``loewner_leq``; like every lambda_1
-    decision it goes through Gershgorin discs, then a certified shifted
-    Cholesky factorisation, then the Jacobi eigenvalue, which decides only
-    inside a narrow band around the bound (see ``_lambda1_at_least``),
+    decision (``_lambda1_at_least``) it goes through Gershgorin discs, then
+    LAPACK's Cholesky of a shifted matrix, which only ever certifies "yes",
+    then the Jacobi eigenvalue, which decides only inside a narrow band
+    around the bound,
   * the operator norm (max absolute eigenvalue),
   * elementary symmetric polynomials and the Gamma_k cone membership test,
     decided from the power sums tr X^i by Newton's identities, with the
@@ -65,10 +65,11 @@ _JACOBI_UNROLL_MAX_N = 8
 #     120 rotations, about 3e-12 ||M||_F (measured against LAPACK: at most
 #     1.0e-15 ||M||_F). The stopping rule (off-diagonal Frobenius norm
 #     <= 1e-12 ||M||_F) bounds, by Weyl, how far it can sit above.
-#   * If Cholesky of M - sigma I completes with positive pivots, then
-#     lambda_1(M) > sigma - O(n u ||M - sigma I||) (Higham, Accuracy and
-#     Stability of Numerical Algorithms, ch. 10, Cholesky backward error),
-#     about 1e-13 of the scale here for n <= 16.
+#   * If LAPACK's Cholesky of M - sigma I completes with a finite factor, then
+#     lambda_1(M) > sigma - O(n u ||M - sigma I||), about 1e-13 of the scale
+#     here for n <= 16 (Higham, Accuracy and Stability of Numerical Algorithms,
+#     2nd ed., Thm 10.3, which holds for any order of the inner products, so
+#     for LAPACK's blocked code too). LAPACK only ever certifies "yes".
 #   * Every eigenvalue of M lies in a Gershgorin disc, so lambda_1(M) >=
 #     min_i (a_ii - sum_(j != i) |a_ij|). Each disc edge is computed to within
 #     (n + 1) u ||row_i||_1 <= (n + 1) u sqrt(n) ||M||_F, about 7.5e-15 ||M||_F
@@ -387,9 +388,9 @@ def _lambda1_at_least(m: SymmetricMatrix, bound: float, offset: float = 0.0) -> 
     """``float(m.eigenvalues()[0]) + offset >= bound``, mostly without the eigensolve.
 
     Cached eigenvalues decide directly. Otherwise, with sigma = bound -
-    offset + band, Gershgorin discs of m all lying above sigma, or else a
-    Cholesky factorisation of m - sigma I that completes with positive
-    pivots, certify True (see ``_CERTIFY_BAND``). Every other case,
+    offset + band, Gershgorin discs of m all lying above sigma, or else
+    LAPACK's Cholesky factorisation of m - sigma I completing with a finite
+    factor, certify True (see ``_CERTIFY_BAND``). Every other case,
     including a non-finite band or sigma, falls back to the Jacobi value, so
     a False answer always comes from the eigenvalue itself.
     """
@@ -400,7 +401,7 @@ def _lambda1_at_least(m: SymmetricMatrix, bound: float, offset: float = 0.0) -> 
         sigma = bound - offset + band
         # a band below the normal range would not cover underflow in the pivots
         if (sys.float_info.min <= band < math.inf and math.isfinite(sigma)
-                and (_gershgorin_above(rows, sigma) or _cholesky_positive(rows, sigma))):
+                and (_gershgorin_above(rows, sigma) or _cholesky_positive(m.entries, sigma))):
             return True
     return float(m.eigenvalues()[0]) + offset >= bound
 
@@ -410,24 +411,14 @@ def _gershgorin_above(a: list, sigma: float) -> bool:
     return all(row[i] - (sum(map(abs, row)) - abs(row[i])) > sigma for i, row in enumerate(a))
 
 
-def _cholesky_positive(a: list, sigma: float) -> bool:
-    """True iff Cholesky of a - sigma I on Python floats has only finite positive pivots.
-
-    Row j of the factor is built left to right and ends in its pivot's root.
-    A non-finite entry of the factor shows up in the pivot of its row, so
-    overflow anywhere makes the answer False.
-    """
-    factor = []
-    for aj in a:
-        lj = []
-        for ajk, lk in zip(aj, factor):
-            lj.append((ajk - sum(map(operator.mul, lj, lk))) / lk[-1])
-        pivot = aj[len(factor)] - sigma - sum(map(operator.mul, lj, lj))
-        if not 0.0 < pivot < math.inf:
-            return False
-        lj.append(math.sqrt(pivot))
-        factor.append(lj)
-    return True
+def _cholesky_positive(a: np.ndarray, sigma: float) -> bool:
+    """True iff LAPACK's Cholesky of a - sigma I completes with a finite factor."""
+    shifted = a.copy()  # the diagonal shifts on Python floats, where an overflow is a silent -inf
+    np.fill_diagonal(shifted, [v - sigma for v in a.diagonal().tolist()])
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def elementary_symmetric(k: int, values) -> float:
@@ -510,10 +501,10 @@ class BlockMatrix2N:
     """2N x 2N symmetric matrix [[E, B], [B^T, D]] kept as its blocks.
 
     E and D are symmetric N x N; B is a general N x N array. The assembled
-    matrix is symmetric by construction.
+    matrix is symmetric by construction; it and its square are computed once.
     """
 
-    __slots__ = ("E", "B", "D", "_assembled")
+    __slots__ = ("E", "B", "D", "_assembled", "_square")
 
     def __init__(self, e: SymmetricMatrix, b, d: SymmetricMatrix):
         barr = np.asarray(b, dtype=float)
@@ -528,7 +519,7 @@ class BlockMatrix2N:
         self.E = e
         self.B = barr
         self.D = d
-        self._assembled = None
+        self._assembled = self._square = None
 
     @property
     def dim_half(self) -> int:
@@ -540,6 +531,13 @@ class BlockMatrix2N:
             bottom = np.concatenate((self.B.T, self.D.entries), axis=1)
             self._assembled = SymmetricMatrix(np.concatenate((top, bottom)))
         return self._assembled
+
+    def square(self) -> np.ndarray:
+        """A @ A of the assembled matrix, read only."""
+        if self._square is None:
+            self._square = self.assemble().entries @ self.assemble().entries
+            self._square.setflags(write=False)
+        return self._square
 
     def __repr__(self):
         return f"BlockMatrix2N(dim_half={self.dim_half})"

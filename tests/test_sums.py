@@ -182,6 +182,20 @@ class TestVerifyEq1:
         with pytest.raises(BadArgument):
             verify_eq1(blocks, 0.0, SymmetricMatrix.zero(2), SymmetricMatrix.zero(2))
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_generated_pairs_make_no_solves(self, monkeypatch, rng, n):
+        """Discs or the Cholesky certify both sides of every generated pair; Jacobi never runs."""
+        blocks = random_blocks(rng, n)
+        sched = EpsilonSchedule.geometric(1.0, 0.5, 40)
+        fam = generate_admissible(blocks, sched)
+        shapes = []
+        jacobi = symmat._jacobi
+        monkeypatch.setattr(symmat, "_jacobi", lambda m, want_vectors: shapes.append(m.shape)
+                            or jacobi(m, want_vectors))
+        for eps, (x, y) in zip(sched.values, fam.pairs):
+            assert verify_eq1(blocks, eps, x, y)
+        assert shapes == []
+
 
 class TestLemmaUpperBound:
     def test_quadratic_bound_matrix(self):
@@ -344,6 +358,13 @@ def _conclusion_with_a_wider_test_function():
     return verify_conclusion(op, witnesses, wide, fam, extract_limit(fam))
 
 
+def _conclusion_with_a_1x1_limit():
+    tf, _, _, fam = quadratic_setup(dim=2)
+    op = linear_uniform(1.0)
+    witnesses = class_u_to_class_m(op, class_u_constant(1.0), JetPoint(tf.x_hat, 0.0, tf.p))
+    return verify_conclusion(op, witnesses, tf, fam, (fam.pairs[-1][0], SymmetricMatrix.zero(1)))
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: quadratic_doubling(1.0, 0), BadParams),
     (lambda: quadratic_doubling(1.0, 2, x_hat=[0.0, 0.0, 0.0]), BadParams),
@@ -352,8 +373,9 @@ def _conclusion_with_a_wider_test_function():
                         SymmetricMatrix.zero(3)), DimMismatch),
     (lambda: lemma_upper_bound(quadratic_setup()[1], 0.0, quadratic_setup()[3]), BadArgument),
     (_conclusion_with_a_wider_test_function, BadArgument),
+    (_conclusion_with_a_1x1_limit, DimMismatch),
 ], ids=["doubling-dim-0", "doubling-anchor-length", "schedule-ratio-1", "eq1-pair-dim",
-        "lemma-eps0-0", "conclusion-tf-dim"])
+        "lemma-eps0-0", "conclusion-tf-dim", "conclusion-limit-dim"])
 def test_documented_refusals(call, error):
     with pytest.raises(error):
         call()

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import traceback
 import warnings
 
@@ -378,6 +379,29 @@ class TestLambda1Decision:
             ref = float(m.eigenvalues()[0])  # the fallback's solve, or a fresh one
             assert got == (ref + offset >= 0.0), (kind, n, scale, offset, rel, sign)
         assert by_discs > 0
+
+    @pytest.mark.parametrize("bound, offset", [(0.5, 0.0), (0.0, -0.5), (0.25, -0.25)])
+    def test_shift_overflow_is_silent_and_exact(self, monkeypatch, bound, offset):
+        # ||M||_F + |bound| + |offset| just below the largest float: a_11 - sigma overflows
+        half = sys.float_info.max / 2.0 * (1.0 - 1e-13)
+        bound, offset = bound * 2.0 * half, offset * 2.0 * half
+        entries = np.array([[-half, 0.0], [0.0, 1.0]])
+        cholesky_calls = []
+        cholesky = symmat._cholesky_positive
+        monkeypatch.setattr(symmat, "_cholesky_positive",
+                            lambda a, sigma: cholesky_calls.append(sigma) or cholesky(a, sigma))
+        m = SymmetricMatrix(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _lambda1_at_least(m, bound, offset)
+        assert len(cholesky_calls) == 1 and math.isinf(-half - cholesky_calls[0])
+        ref = float(SymmetricMatrix(entries).eigenvalues()[0])
+        assert got == (ref + offset >= bound) and not got
+
+    def test_non_finite_factor_is_not_a_certificate(self, monkeypatch):
+        assert symmat._cholesky_positive(np.eye(3), 0.5)
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full_like(a, math.inf))
+        assert not symmat._cholesky_positive(np.eye(3), 0.5)
 
 
 def _kernel_golden_inputs(kind):
