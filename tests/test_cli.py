@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import warnings
@@ -541,3 +542,51 @@ class TestDeterminism:
         main(list(argv))
         second = capsys.readouterr().out
         assert first == second
+
+
+P4 = '{"family":"p_laplace","p":4}'
+ODD3 = '{"family":"eig_sum","h":"odd_root","d":3}'
+
+# sums-demo's stdout over alpha, dim, operator and slack, with the default 40-term
+# schedule, as ((alpha, dim, op, slack, json), exit code, sha256 of stdout).
+SUMS_DEMO_GOLDEN = [
+    (("1", "1", LIN, "0", True), 0,
+     "7e704ebf075d866aac02fe82b4322174daf7b5adec56b748340574a646931771"),
+    (("1", "1", LIN, "0.01", False), 1,
+     "f85409c386ad9c2eebb30c0e2265ff38b04695ba64daedf6406a71ddb07d8622"),
+    (("0.5", "2", LIN, "0", True), 0,
+     "ca52f561f6cd1df0634a68224347e515edf9b2d8fbe7b03c56156258b9dbee57"),
+    (("3", "3", LIN, "0.01", True), 0,
+     "c944d630a215cc36d3d04fd0986e1c3a16c07e458f5a69e0524b58e4bb8abc1b"),
+    (("1", "4", LIN, "0.01", False), 0,
+     "c63c7cb798dfdcbe37622f1ed22d73d8861fc874aba627deb46d77c7f1f1e74b"),
+    (("1", "2", P4, "0", True), 0,
+     "e5d415a00a0287620ddd7074a5667fc5b9f7739076c6619755c8305a3cc148c9"),
+    (("3", "2", P4, "0", False), 0,
+     "b20b3ba78ffffd5e31dc7a4f8d2fc47f452715f6697de9b612ea06c92c19611f"),
+    (("0.5", "4", P4, "0.01", True), 0,
+     "1e4a6041d1101a39da1bfccf5d218a5f7b4f4fe0794c4ce2702e1353758a5f31"),
+    (("3", "1", P4, "0.01", True), 0,
+     "8a1a691412797a310cf2e02d649cac372e782f4e4f54c41b6d11f0973b42c7af"),
+    (("1", "3", ODD3, "0", True), 0,
+     "a6a34eabed6179d9438101230fa2905f35b239288b87b02058a4902117c24f2b"),
+    (("0.5", "2", ODD3, "0.01", False), 0,
+     "1638703a9d57c50e536ccae6622451c83127aede72a40c870d805b0446a76f6e"),
+    (("3", "4", ODD3, "0", True), 0,
+     "4eb253069892052160f9b18c90f89c5fb19fbf1b6701cc2b6ff215e252f61011"),
+]
+
+
+def _sums_demo_id(case):
+    alpha, dim, op, slack, as_json = case
+    return f"{json.loads(op)['family']}-a{alpha}-d{dim}-s{slack}" + ("-json" if as_json else "")
+
+
+@pytest.mark.parametrize("case, code, digest", SUMS_DEMO_GOLDEN,
+                         ids=[_sums_demo_id(case) for case, _, _ in SUMS_DEMO_GOLDEN])
+def test_sums_demo_golden(capsys, case, code, digest):
+    alpha, dim, op, slack, as_json = case
+    argv = ["sums-demo", "--alpha", alpha, "--dim", dim, "--op", op, "--slack", slack]
+    got, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
