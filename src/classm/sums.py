@@ -5,7 +5,7 @@ that removes the eps A^2 term from the two-sided inequality
 
     -(1/eps + ||A||) I  <=  diag(X_eps, -Y_eps)  <=  A + eps A^2 :
 
-1. `hessian_blocks` supplies A from the quadratic doubling test function
+1. `hessian_blocks` supplies A from quadratic doubling, the only test function,
    z(x, y) = (alpha/2) |x - y|^2, whose blocks are the closed forms
    (E, B, D) = (alpha I, -alpha I, alpha I) with A^2 = 2 alpha A.
 2. `generate_admissible` manufactures pairs (X_eps, Y_eps) that satisfy the
@@ -13,7 +13,7 @@ that removes the eps A^2 term from the two-sided inequality
    artifact's own: with W = A + eps A^2 it recenters the diagonal blocks by
    c_eps = sigma_max(W_12) + slack, which makes W - diag(X_eps, -Y_eps) a
    PSD two-by-two block pattern by the singular-value bound on the coupling
-   block.
+   block. Each Y_eps carries the -Y_eps it came from as its negation.
 3. `lemma_upper_bound` checks the eps-uniform upper bounds
    X_eps <= E + eps0 (E^2 + B B^T) and -Y_eps <= D + eps0 (D^2 + B^T B).
 4. `extract_limit` runs the Cauchy-tail stand-in for subsequence extraction.
@@ -28,7 +28,8 @@ schedule order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +59,6 @@ class TestFunction:
     keeps gradient-singular operators inside their domain.
     """
 
-    family: str
     alpha: float
     dim: int
     x_hat: np.ndarray
@@ -68,42 +68,32 @@ class TestFunction:
     def p(self) -> np.ndarray:
         return self.alpha * (self.x_hat - self.y_hat)
 
-    @property
-    def q(self) -> np.ndarray:
-        return self.alpha * (self.x_hat - self.y_hat)
+    q = p
 
 
 def quadratic_doubling(alpha: float, dim: int, x_hat=None, y_hat=None) -> TestFunction:
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise BadParams(f"alpha must be > 0, got {alpha}")
-    if dim < 1:
-        raise BadParams(f"dim must be >= 1, got {dim}")
+    if not 0.0 < alpha < math.inf:
+        raise BadParams(f"alpha must be finite and > 0, got {alpha}")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise BadParams(f"dim must be an integer >= 1, got {dim!r}")
     if x_hat is None:
         x_hat = np.zeros(dim)
         x_hat[0] = 1.0 / alpha
     if y_hat is None:
         y_hat = np.zeros(dim)
-    x_hat = np.asarray(x_hat, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
+    x_hat, y_hat = (np.array(v, dtype=float) for v in (x_hat, y_hat))  # copies: frozen below
     if x_hat.shape != (dim,) or y_hat.shape != (dim,):
         raise BadParams(f"anchors must be vectors of length {dim}")
     x_hat.setflags(write=False)
     y_hat.setflags(write=False)
-    return TestFunction("quadratic", alpha, dim, x_hat, y_hat)
+    return TestFunction(alpha, dim, x_hat, y_hat)
 
 
 def hessian_blocks(tf: TestFunction) -> BlockMatrix2N:
-    """Second-derivative blocks of the test function: (E, B, D)."""
-    if tf.family != "quadratic":
-        raise BadParams(f"unknown test-function family {tf.family!r}")
-    n = tf.dim
-    eye = np.eye(n)
-    return block_compose(
-        SymmetricMatrix(tf.alpha * eye),
-        -tf.alpha * eye,
-        SymmetricMatrix(tf.alpha * eye),
-    )
+    """Second-derivative blocks of the test function: (E, B, D) = (alpha I, -alpha I, alpha I)."""
+    e = SymmetricMatrix(tf.alpha * np.eye(tf.dim))
+    return block_compose(e, -e.entries, e)
 
 
 @dataclass(frozen=True)
@@ -114,8 +104,8 @@ class EpsilonSchedule:
     values: tuple
 
     def __post_init__(self):
-        if not self.eps0 > 0.0:
-            raise BadArgument(f"eps0 must be > 0, got {self.eps0}")
+        if not 0.0 < self.eps0 < math.inf:
+            raise BadArgument(f"eps0 must be finite and > 0, got {self.eps0}")
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise BadArgument("schedule must be nonempty")
@@ -178,20 +168,14 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
         raise BadArgument(f"slack must be finite and >= 0, got {slack}")
     n = a.dim_half
     eye = np.eye(n)
-    slack_eye = slack * eye
     pairs = []
     for eps in sched.values:
         w = a.assemble().entries + eps * a.square()
-        w11 = SymmetricMatrix(w[:n, :n])
-        w12 = w[:n, n:]
-        w22 = SymmetricMatrix(w[n:, n:])
-        sigma_eye = _sigma_max(w12) * eye
-        x = SymmetricMatrix(w11.entries - sigma_eye - slack_eye)
-        neg_y = SymmetricMatrix(w22.entries - sigma_eye - slack_eye)
-        # fl(1/eps) <= fl(1/eps + ||A||), so blocks that clear -1/eps need no ||A||
-        clears = lambda norm: all(_lambda1_at_least(m, -(1.0 / eps + norm) - EQ1_TOL)
-                                  for m in (x, neg_y))
-        if not clears(0.0) and not clears(norm_a := operator_norm(a.assemble())):
+        sigma_eye = _sigma_max(w[:n, n:]) * eye
+        x, neg_y = (SymmetricMatrix(w[s, s] - sigma_eye - slack * eye)
+                    for s in (slice(None, n), slice(n, None)))
+        if not (_above_floor(a, eps, x) and _above_floor(a, eps, neg_y)):
+            norm_a = operator_norm(a.assemble())
             floor = -(1.0 / eps + norm_a)
             lowest = min(float(x.eigenvalues()[0]), float(neg_y.eigenvalues()[0]))
             raise SlackTooLarge(
@@ -199,8 +183,17 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
                 f"({lowest:g} < {floor:g}); slack = {slack:g}, eps * ||A|| = {eps * norm_a:g} "
                 f"(the construction needs slack small and eps * ||A|| <= 0.86)"
             )
-        pairs.append((x, neg_y.negated()))
+        y = SymmetricMatrix._symmetric(-neg_y.entries)
+        y._negation = neg_y  # one way only: neg_y keeps no link back, so no reference cycle
+        pairs.append((x, y))
     return AdmissibleFamily(A=a, schedule=sched, pairs=tuple(pairs))
+
+
+def _above_floor(a: BlockMatrix2N, eps: float, m: SymmetricMatrix) -> bool:
+    """lambda_1(m) + 1/eps + ||A|| >= -EQ1_TOL: m clears the lower side of the inequality."""
+    # fl(1/eps) <= fl(1/eps + ||A||), so a matrix that clears -1/eps needs no ||A||
+    return (_lambda1_at_least(m, -EQ1_TOL, 1.0 / eps)
+            or _lambda1_at_least(m, -EQ1_TOL, 1.0 / eps + operator_norm(a.assemble())))
 
 
 def _diag_x_neg_y(n: int, x: SymmetricMatrix, y: SymmetricMatrix) -> SymmetricMatrix:
@@ -214,30 +207,27 @@ def _diag_x_neg_y(n: int, x: SymmetricMatrix, y: SymmetricMatrix) -> SymmetricMa
 
 
 def _eq1_terms(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix):
-    """(diag(X, -Y), A + eps A^2 - diag(X, -Y), A): the two-sided inequality holds iff
+    """(diag(X, -Y), A + eps A^2 - diag(X, -Y)): the two-sided inequality holds iff
     lambda_1 of the first plus 1/eps + ||A|| and lambda_1 of the second are both >= 0."""
     diag = _diag_x_neg_y(a.dim_half, x, y)
     w = SymmetricMatrix(a.assemble().entries + eps * a.square())
-    return diag, SymmetricMatrix(w.entries - diag.entries), a.assemble()
+    return diag, SymmetricMatrix(w.entries - diag.entries)
 
 
 def _eq1_margins(a: BlockMatrix2N, eps: float, x: SymmetricMatrix,
                  y: SymmetricMatrix) -> tuple[float, float]:
     """lambda_1(diag(X, -Y)) + 1/eps + ||A|| and lambda_1(A + eps A^2 - diag(X, -Y))."""
-    diag, gap, amat = _eq1_terms(a, eps, x, y)
-    return (float(diag.eigenvalues()[0]) + (1.0 / eps + operator_norm(amat)),
+    diag, gap = _eq1_terms(a, eps, x, y)
+    return (float(diag.eigenvalues()[0]) + (1.0 / eps + operator_norm(a.assemble())),
             float(gap.eigenvalues()[0]))
 
 
 def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix) -> bool:
     """Recheck both sides of the two-sided inequality for one pair, at tolerance EQ1_TOL."""
-    if eps <= 0.0:
-        raise BadArgument(f"eps must be > 0, got {eps}")
-    diag, gap, amat = _eq1_terms(a, eps, x, y)
-    # fl(1/eps) <= fl(1/eps + ||A||), so a diag(X, -Y) that clears -1/eps needs no ||A||
-    return ((_lambda1_at_least(diag, -EQ1_TOL, 1.0 / eps)
-             or _lambda1_at_least(diag, -EQ1_TOL, 1.0 / eps + operator_norm(amat)))
-            and _lambda1_at_least(gap, -EQ1_TOL))
+    if not 0.0 < eps < math.inf:
+        raise BadArgument(f"eps must be finite and > 0, got {eps}")
+    diag, gap = _eq1_terms(a, eps, x, y)
+    return _above_floor(a, eps, diag) and _lambda1_at_least(gap, -EQ1_TOL)
 
 
 def _upper_bounds(a: BlockMatrix2N, eps0: float):
@@ -258,8 +248,8 @@ def lemma_upper_bound(a: BlockMatrix2N, eps0: float, family: AdmissibleFamily):
     A^2 = [[E^2 + B B^T, *], [*, D^2 + B^T B]] is verified numerically as
     well. Returns PassReport or the first violation as a Certificate.
     """
-    if not eps0 > 0.0:
-        raise BadArgument(f"eps0 must be > 0, got {eps0}")
+    if not 0.0 < eps0 < math.inf:
+        raise BadArgument(f"eps0 must be finite and > 0, got {eps0}")
     if any(eps >= eps0 for eps in family.schedule.values):
         raise BadArgument("the family's schedule must lie inside (0, eps0)")
     n = a.dim_half
@@ -270,21 +260,21 @@ def lemma_upper_bound(a: BlockMatrix2N, eps0: float, family: AdmissibleFamily):
             or float(np.max(np.abs(a2[n:, n:] - d_tilde.entries))) > 1e-9 * scale):
         raise ToolkitError("block identity for A^2 failed; assembly is inconsistent")
     for idx, (eps, (x, y)) in enumerate(zip(family.schedule.values, family.pairs)):
-        neg_y = y.negated()
-        for side, mat, bound in (("X", x, bound_x), ("negY", neg_y, bound_y)):
+        for side, mat, bound in (("X", x, bound_x), ("negY", y.negated(), bound_y)):
             if not loewner_leq(mat, bound, EQ1_TOL):
-                gap = float(SymmetricMatrix(bound.entries - mat.entries).eigenvalues()[0])
+                recheck = lambda mat=mat, bound=bound: -float(
+                    SymmetricMatrix(bound.entries - mat.entries).eigenvalues()[0])
+                margin = recheck()
                 return Certificate(
                     kind="lemma_upper_bound.violation",
                     witnesses={"side": side, "eps": eps, "eps0": eps0,
                                "matrix": mat, "bound": bound},
-                    inequality_values={"lambda1_of_gap": gap},
-                    margin=-gap,
+                    inequality_values={"lambda1_of_gap": -margin},
+                    margin=margin,
                     trial_index=idx,
                     description="a generated pair escaped the eps-uniform upper bound, "
                                 "which a sound generator must never produce",
-                    recheck=lambda mat=mat, bound=bound: -float(
-                        SymmetricMatrix(bound.entries - mat.entries).eigenvalues()[0]),
+                    recheck=recheck,
                 )
     return PassReport(
         kind="lemma_upper_bound", trials=2 * len(family.pairs), probes=0,
@@ -304,12 +294,8 @@ def extract_limit(family: AdmissibleFamily):
     if not family.pairs:
         raise BadArgument("family has no pairs")
     tail = family.pairs[-10:]
-    xs = np.stack([p[0].entries for p in tail])
-    ys = np.stack([p[1].entries for p in tail])
-    osc = max(
-        float(np.max(xs.max(axis=0) - xs.min(axis=0))),
-        float(np.max(ys.max(axis=0) - ys.min(axis=0))),
-    )
+    stacks = (np.stack([pair[k].entries for pair in tail]) for k in (0, 1))
+    osc = max(float(np.max(s.max(axis=0) - s.min(axis=0))) for s in stacks)
     if osc > EQ1_TOL:
         raise NonConvergent(
             f"schedule tail oscillates by {osc:g} entrywise, beyond tol {EQ1_TOL:g}",
@@ -350,48 +336,36 @@ def verify_conclusion(op: OperatorDescriptor, witnesses, tf: TestFunction,
     bound_y_eps = g2.inv_at_zero(d_slack)
 
     implications = []
-    all_hold = True
     for eps, (x_eps, y_eps) in zip(family.schedule.values, family.pairs):
-        row = {"eps": eps}
         f_x = op.evaluate(omega_x, x_eps)
-        row["F_X"] = f_x
-        row["X_checked"] = f_x <= 0.0
+        row = {"eps": eps, "F_X": f_x, "X_checked": f_x <= 0.0}
         if f_x <= 0.0:
             lam1 = float(x_eps.eigenvalues()[0])
-            row["lambda1_X"] = lam1
-            row["X_holds"] = lam1 >= bound_x_eps - EQ1_TOL
-            all_hold = all_hold and row["X_holds"]
+            row.update(lambda1_X=lam1, X_holds=lam1 >= bound_x_eps - EQ1_TOL)
         f_y = op.evaluate(omega_y, y_eps)
-        row["F_Y"] = f_y
-        row["Y_checked"] = f_y >= 0.0
+        row.update(F_Y=f_y, Y_checked=f_y >= 0.0)
         if f_y >= 0.0:
             lamn = float(y_eps.eigenvalues()[-1])
-            row["lambdaN_Y"] = lamn
-            row["Y_holds"] = lamn <= bound_y_eps + EQ1_TOL
-            all_hold = all_hold and row["Y_holds"]
+            row.update(lambdaN_Y=lamn, Y_holds=lamn <= bound_y_eps + EQ1_TOL)
         implications.append(row)
 
     x_lim, y_lim = limits
     upper_ok = loewner_leq(_diag_x_neg_y(n, x_lim, y_lim), a.assemble(), EQ1_TOL)
 
     base = theorem_lower_bounds(g1, g2, a.E, a.D)
-    details = dict(base.details)
-    details.update({
+    lam1_x = float(x_lim.eigenvalues()[0])
+    lamn_y = float(y_lim.eigenvalues()[-1])
+    return replace(base, upper_block_ok=upper_ok, details={
+        **base.details,
         "block_checked": True,
         "eps0": eps0,
         "bound_X_at_eps0": bound_x_eps,
         "bound_negY_at_eps0": -bound_y_eps,
         "implications": implications,
-        "implications_ok": all_hold,
-        "lambda1_X_limit": float(x_lim.eigenvalues()[0]),
-        "lambdaN_Y_limit": float(y_lim.eigenvalues()[-1]),
-        "limit_lower_X_ok": float(x_lim.eigenvalues()[0]) >= base.lower_X - EQ1_TOL,
-        "limit_lower_negY_ok": -float(y_lim.eigenvalues()[-1]) >= base.lower_negY - EQ1_TOL,
+        "implications_ok": all(row.get("X_holds", True) and row.get("Y_holds", True)
+                               for row in implications),
+        "lambda1_X_limit": lam1_x,
+        "lambdaN_Y_limit": lamn_y,
+        "limit_lower_X_ok": lam1_x >= base.lower_X - EQ1_TOL,
+        "limit_lower_negY_ok": -lamn_y >= base.lower_negY - EQ1_TOL,
     })
-    return BoundReport(
-        lower_X=base.lower_X,
-        lower_negY=base.lower_negY,
-        upper_block_ok=upper_ok,
-        witness=base.witness,
-        details=details,
-    )

@@ -129,6 +129,8 @@ class TestExitCodes:
          "--slack", "1e9"],
         ["sums-demo", "--alpha", "1", "--dim", "2", "--op", LIN, "--slack", "nan"],
         ["sums-demo", "--alpha", "1", "--dim", "2", "--op", LIN, "--slack", "inf"],
+        ["sums-demo", "--alpha", "inf", "--dim", "2", "--op", LIN],
+        ["sums-demo", "--eps0", "inf", "--dim", "2", "--op", LIN],
         ["check-class-u", "--op", LIN, "--lam", "1", "--dim", "3", "--trials", "30", "--seed", "3",
          "--hconst", "inf", "--json"],
         ["bounds", "--op", LIN, "--E", EYE2, "--D", EYE2, "--hconst", "inf"],
@@ -224,6 +226,10 @@ class TestExitCodes:
         (["check-ellipticity", "--op", P3, "--dim", "0"], "--dim must be in 1..16, got 0"),
         (["sums-demo", "--dim", "2", "--op", LIN, "--terms", "10001"],
          "--terms must be <= 10000, got 10001"),
+        (["sums-demo", "--alpha", "inf", "--dim", "2", "--op", LIN],
+         "alpha must be finite and > 0, got inf"),
+        (["sums-demo", "--eps0", "inf", "--dim", "2", "--op", LIN],
+         "eps0 must be finite and > 0, got inf"),
         (["bounds", "--route", "corollary", "--op", LIN, "--E", EYE2, "--D", EYE2,
           "--lam", "1e-320"], "bound report scalars must be finite"),
         *((["check-ellipticity", "--op", spec, "--dim", "2"], message) for spec, message in [

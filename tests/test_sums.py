@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -62,20 +63,16 @@ class TestTestFunction:
         tf = quadratic_doubling(2.0, 3)
         assert np.allclose(tf.p, [1.0, 0.0, 0.0])
         assert np.array_equal(tf.p, tf.q)
-        tf2 = quadratic_doubling(1.0, 2, x_hat=[3.0, 1.0], y_hat=[1.0, 1.0])
+        x_hat = np.array([3.0, 1.0])
+        tf2 = quadratic_doubling(1.0, 2, x_hat=x_hat, y_hat=[1.0, 1.0])
         assert np.allclose(tf2.p, [2.0, 0.0])
+        assert x_hat.flags.writeable and not tf2.x_hat.flags.writeable
 
     def test_degenerate_alpha_rejected(self):
         with pytest.raises(BadParams):
             quadratic_doubling(0.0, 2)
         with pytest.raises(BadParams):
             quadratic_doubling(-1.0, 2)
-
-    def test_unknown_family_rejected(self):
-        tf = quadratic_doubling(1.0, 2)
-        object.__setattr__(tf, "family", "cubic")
-        with pytest.raises(BadParams):
-            hessian_blocks(tf)
 
 
 class TestSchedule:
@@ -164,6 +161,47 @@ class TestGeneratorSolves:
             generate_admissible(blocks, sched, slack=slack)
 
 
+class TestFloorEdge:
+    """generate_admissible and verify_eq1's lower side state one floor rule: the Jacobi
+    comparison lambda_1 + (1/eps + ||A||) >= -EQ1_TOL, decided the same at the edge."""
+
+    EPS = 0.5
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_decisions_match_the_jacobi_comparison(self, rng, n):
+        blocks = random_blocks(rng, n)
+        amat = blocks.assemble().entries
+        w = amat + self.EPS * (amat @ amat)
+        eye = np.eye(n)
+        sigma = sums._sigma_max(w[:n, n:])
+        halves = (slice(None, n), slice(n, None))
+        scale = 1.0 / self.EPS + operator_norm(blocks.assemble())
+        lowest = min(float(SymmetricMatrix(w[h, h] - sigma * eye).eigenvalues()[0])
+                     for h in halves)
+        outcomes = set()
+        for delta in [0.0] + [sign * 10.0 ** e for e in range(-15, -8) for sign in (1, -1)]:
+            # lambda_1 of the lower block lands delta * scale above the floor
+            slack = lowest + scale + sums.EQ1_TOL - delta * scale
+            assert slack >= 0.0
+            x, neg_y = (SymmetricMatrix(w[h, h] - sigma * eye - slack * eye) for h in halves)
+            clears = all(float(m.eigenvalues()[0]) + scale >= -sums.EQ1_TOL for m in (x, neg_y))
+            try:
+                fam = generate_admissible(blocks, EpsilonSchedule(1.0, (self.EPS,)), slack=slack)
+            except SlackTooLarge:
+                assert not clears, delta
+            else:
+                assert clears, delta
+                assert fam.pairs[0][0].entries.tobytes() == x.entries.tobytes()
+                assert fam.pairs[0][1].negated().entries.tobytes() == neg_y.entries.tobytes()
+            lower, upper = sums._eq1_margins(blocks, self.EPS, x, neg_y.negated())
+            # diag(X, -Y) has the blocks' Jacobi minimum, and the upper side holds
+            assert lower == min(float(m.eigenvalues()[0]) for m in (x, neg_y)) + scale
+            assert upper >= 0.0
+            assert verify_eq1(blocks, self.EPS, x, neg_y.negated()) == clears
+            outcomes.add(clears)
+        assert outcomes == {True, False}
+
+
 class TestVerifyEq1:
     def test_gross_upper_violation(self):
         _, blocks, sched, _ = quadratic_setup()
@@ -195,6 +233,32 @@ class TestVerifyEq1:
         for eps, (x, y) in zip(sched.values, fam.pairs):
             assert verify_eq1(blocks, eps, x, y)
         assert shapes == []
+
+
+class TestPairNegation:
+    """Each generated Y_eps carries the -Y_eps it came from, linked one way only."""
+
+    def test_y_carries_its_negation(self, rng):
+        fam = generate_admissible(random_blocks(rng, 3), EpsilonSchedule.geometric(0.7, 0.5, 12))
+        for _, y in fam.pairs:
+            neg = y.negated()
+            assert neg.entries.tobytes() == (-y.entries).tobytes()
+            assert y.negated() is neg
+            assert neg._negation is None
+
+    def test_checks_build_only_the_block_diagonal(self, monkeypatch, rng):
+        blocks = random_blocks(rng, 3)
+        sched = EpsilonSchedule.geometric(0.7, 0.5, 12)
+        fam = generate_admissible(blocks, sched)
+        shapes = []
+        symmetric = SymmetricMatrix._symmetric
+        monkeypatch.setattr(SymmetricMatrix, "_symmetric", classmethod(
+            lambda cls, sym: shapes.append(sym.shape) or symmetric(sym)))
+        for eps, (x, y) in zip(sched.values, fam.pairs):
+            assert verify_eq1(blocks, eps, x, y)
+        assert isinstance(lemma_upper_bound(blocks, 0.7, fam), PassReport)
+        # one diag(X, -Y) per pair, and no negation
+        assert shapes == [(6, 6)] * len(fam.pairs)
 
 
 class TestLemmaUpperBound:
@@ -374,8 +438,20 @@ def _conclusion_with_a_1x1_limit():
     (lambda: lemma_upper_bound(quadratic_setup()[1], 0.0, quadratic_setup()[3]), BadArgument),
     (_conclusion_with_a_wider_test_function, BadArgument),
     (_conclusion_with_a_1x1_limit, DimMismatch),
+    (lambda: quadratic_doubling(math.inf, 2), BadParams),
+    (lambda: quadratic_doubling(1.0, True), BadParams),
+    (lambda: quadratic_doubling(1.0, 2.0), BadParams),
+    (lambda: quadratic_doubling(1.0, "2"), BadParams),
+    (lambda: verify_eq1(quadratic_setup(dim=2)[1], math.nan, SymmetricMatrix.zero(2),
+                        SymmetricMatrix.zero(2)), BadArgument),
+    (lambda: verify_eq1(quadratic_setup(dim=2)[1], math.inf, SymmetricMatrix.zero(2),
+                        SymmetricMatrix.zero(2)), BadArgument),
+    (lambda: EpsilonSchedule(math.inf, (0.5, 0.25)), BadArgument),
+    (lambda: lemma_upper_bound(quadratic_setup()[1], math.inf, quadratic_setup()[3]), BadArgument),
 ], ids=["doubling-dim-0", "doubling-anchor-length", "schedule-ratio-1", "eq1-pair-dim",
-        "lemma-eps0-0", "conclusion-tf-dim", "conclusion-limit-dim"])
+        "lemma-eps0-0", "conclusion-tf-dim", "conclusion-limit-dim", "doubling-alpha-inf",
+        "doubling-dim-bool", "doubling-dim-float", "doubling-dim-str", "eq1-eps-nan",
+        "eq1-eps-inf", "schedule-eps0-inf", "lemma-eps0-inf"])
 def test_documented_refusals(call, error):
     with pytest.raises(error):
         call()
