@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule for numeric parameters."""
+
+import math
+import numbers
 
 
 class ToolkitError(Exception):
@@ -47,3 +50,28 @@ class NonConvergent(ToolkitError):
     def __init__(self, message, oscillation=None):
         super().__init__(message)
         self.oscillation = oscillation
+
+
+def _as_float(value) -> float:
+    """A real number but a bool as a float (an int past the float range as +-inf), else nan."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _integer(name: str, value, lo: int, error=BadParams) -> int:
+    """``value`` as an int: any integer but a bool, numpy's included, that is >= lo."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise error(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
+def _positive(name: str, value, error=BadParams) -> float:
+    """``value`` as a float: any real number but a bool that is finite and > 0 as a float."""
+    out = _as_float(value)
+    if not 0.0 < out < math.inf:
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+    return out

@@ -26,14 +26,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadArgument, BadParams, SamplingExhausted, ToolkitError
+from .errors import (BadArgument, BadParams, SamplingExhausted, ToolkitError, _as_float,
+                     _integer, _positive)
 from .operators import (
     JetPoint,
     MonotoneFunction,
@@ -83,24 +83,17 @@ class SampleConfig:
     dim: int = 3
 
     def __post_init__(self):
-        for name in ("seed", "trials", "dim"):  # a numpy integer is stored as int
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise BadArgument(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not 0 <= self.seed < 2**64:
+        for name, lo in (("seed", 0), ("trials", 1), ("dim", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), lo, BadArgument))
+        if self.seed >= 2**64:
             raise BadArgument(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.trials < 1:
-            raise BadArgument(f"trials must be >= 1, got {self.trials}")
-        if isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real):
-            raise BadArgument(f"scale must be a real number, got {self.scale!r}")
-        if type(self.scale) is not int:
-            object.__setattr__(self, "scale", float(self.scale))
+        scale = _positive("scale", self.scale, BadArgument)
         # draws are uniform on [-scale, scale], whose width 2 * scale must be finite
-        if not 0.0 < self.scale <= sys.float_info.max / 2.0:
-            raise BadArgument(f"scale must be > 0 with 2 * scale finite, got {self.scale}")
-        if self.dim < 1:
-            raise BadArgument(f"dim must be >= 1, got {self.dim}")
+        if scale > sys.float_info.max / 2.0:
+            raise BadArgument(f"scale must be > 0 with 2 * scale finite, got {self.scale!r}")
+        # an integer scale stays an integer, so a report prints it as it was given
+        object.__setattr__(self, "scale",
+                           int(self.scale) if hasattr(self.scale, "__index__") else scale)
 
     def to_json_obj(self) -> dict:
         return _jsonable(self)
@@ -638,10 +631,9 @@ def _flat_divergence(kind: str, op: OperatorDescriptor, axis: int, spike, dim: i
                      description: str) -> Certificate:
     """-F(e_axis, spike(dim, c')) is the same for c' = 0, -1, -1e3 and c while
     lambda_1 = c' runs away: the certificate, with -F taken from the first rung."""
-    if dim < 2:
-        raise BadParams("the spike construction needs dim >= 2")
-    if c > 0.0:
-        raise BadParams(f"c must be <= 0, got {c}")
+    dim = _integer("dim", dim, 2)
+    if not -math.inf < _as_float(c) <= 0.0:
+        raise BadParams(f"c must be finite and <= 0, got {c!r}")
     omega = unit_jet(dim, axis=axis)
     grid = sorted({0.0, -1.0, -1e3, float(c)}, reverse=True)
     rows = []
@@ -681,10 +673,9 @@ def _khessian_formula(n: int, k: int, m: int) -> int:
 
 
 def _cert_k_hessian(dim: int = 3, k: int = 2, n: int = 5) -> Certificate:
-    if dim < 2 or not (2 <= k <= dim):
-        raise BadParams(f"need dim >= 2 and 2 <= k <= dim, got dim={dim}, k={k}")
-    if not isinstance(n, int) or n < 1:
-        raise BadParams(f"n must be a positive integer, got {n!r}")
+    dim, k, n = _integer("dim", dim, 2), _integer("k", k, 2), _integer("n", n, 1)
+    if k > dim:
+        raise BadParams(f"k must be <= dim, got dim={dim}, k={k}")
     rows = []
     for step in range(5):
         nn = n * 2**step
@@ -721,7 +712,7 @@ def _cert_k_hessian(dim: int = 3, k: int = 2, n: int = 5) -> Certificate:
 
 def _cert_p1_laplace(dim: int = 4, c: float = -100.0) -> Certificate:
     return _flat_divergence(
-        "counterexample.p1_laplace", p_laplace(1), dim - 1, _ones_tail, dim, c,
+        "counterexample.p1_laplace", p_laplace(1), -1, _ones_tail, dim, c,
         "-F_1(e_N, diag(1, ..., 1, c)) = (N-1+c) - c = N-1 for every c <= 0 "
         "while lambda_1 = c runs to -infinity; as with the inf-Laplacian this "
         "contradicts condition 3 for any candidate g1")
@@ -729,10 +720,7 @@ def _cert_p1_laplace(dim: int = 4, c: float = -100.0) -> Certificate:
 
 def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
                       h_const: float = 0.0) -> Certificate:
-    if dim < 2:
-        raise BadParams("need dim >= 2")
-    if not lam > 0.0:
-        raise BadParams(f"lam must be > 0, got {lam}")
+    dim, lam = _integer("dim", dim, 2), _positive("lam", lam)
     op = eig_sum(odd_root_monotone(d))
     omega = unit_jet(dim)
     zero = SymmetricMatrix.zero(dim)
@@ -752,15 +740,9 @@ def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
 
 def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
                           h_const: float = 0.0) -> Certificate:
-    p = float(p)
+    p, dim, lam = _positive("p", p), _integer("dim", dim, 2), _positive("lam", lam)
     if p == 2.0:
         raise BadParams("p = 2 is the Laplacian, which is uniformly elliptic")
-    if p < 1.0:
-        raise BadParams(f"p must be >= 1, got {p}")
-    if dim < 2:
-        raise BadParams("need dim >= 2")
-    if not lam > 0.0:
-        raise BadParams(f"lam must be > 0, got {lam}")
     op = p_laplace(p)
     # |c|^(p-2) = lam/2 < lam puts nu in the flat regime; nu = c e1 then lies
     # in the nullspace of Y - X for Y supported on the last axis.
@@ -790,8 +772,7 @@ def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
 
 
 def _cert_bounded_h(dim: int = 3, h: MonotoneFunction | None = None) -> Certificate:
-    if dim < 1:
-        raise BadParams("need dim >= 1")
+    dim = _integer("dim", dim, 1)
     if h is None:
         h = arctan_monotone()
     below = h.bounded_below is not None

@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import BadParams, NonFiniteValue, OutOfDomain, ToolkitError
+from .errors import BadParams, NonFiniteValue, OutOfDomain, ToolkitError, _integer, _positive
 from .symmat import (
     GAMMA_CONE_TOL,
     SymmetricMatrix,
@@ -131,8 +131,9 @@ def identity_monotone() -> MonotoneFunction:
 
 def odd_root_monotone(d: int) -> MonotoneFunction:
     """t -> sign(t) |t|^(1/d), the real d-th root for odd d >= 3."""
-    if not isinstance(d, int) or d < 3 or d % 2 == 0:
-        raise BadParams(f"d must be an odd integer >= 3, got {d!r}")
+    d = _integer("d", d, 3)
+    if d % 2 == 0:
+        raise BadParams(f"d must be an odd integer >= 3, got {d}")
     return MonotoneFunction(
         f"odd_root({d})",
         lambda t: math.copysign(abs(t) ** (1.0 / d), t),
@@ -230,9 +231,7 @@ def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescript
     pure callbacks of x; omitted coefficients default to zero. Constant sigma
     is PSD-checked up front, callback sigma at every evaluation.
     """
-    theta = float(theta)
-    if not theta > 0.0:
-        raise BadParams(f"theta must be > 0, got {theta}")
+    theta = _positive("theta", theta)
 
     sigma_at = _of_x(sigma, _psd_sample)
     b_at = _of_x(b, lambda v: np.asarray(v, dtype=float))
@@ -262,8 +261,8 @@ def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescript
 
 
 def _p_laplace(p: float, homogeneous: bool) -> OperatorDescriptor:
-    p = float(p)
-    if not p >= 1.0:
+    p = _positive("p", p)
+    if p < 1.0:
         raise BadParams(f"p must be >= 1, got {p}")
     # |nu|^0 = 1 exactly, so the homogeneous bracket keeps its bits.
     power = 0.0 if homogeneous else p - 2.0
@@ -325,8 +324,7 @@ def k_hessian(k: int) -> OperatorDescriptor:
     k >= 1 is validated here; k <= N is validated against the matrix at
     evaluation time since descriptors are dimension generic.
     """
-    if not isinstance(k, int) or k < 1:
-        raise BadParams(f"k must be an integer >= 1, got {k!r}")
+    k = _integer("k", k, 1)
 
     def in_domain(w: JetPoint, x_mat: SymmetricMatrix) -> bool:
         if k > x_mat.dim:

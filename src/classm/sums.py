@@ -28,12 +28,12 @@ schedule order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadArgument, BadParams, DimMismatch, NonConvergent, SlackTooLarge, ToolkitError
+from .errors import (BadArgument, BadParams, DimMismatch, NonConvergent, SlackTooLarge,
+                     ToolkitError, _as_float, _integer, _positive)
 from .falsify import Certificate, PassReport
 from .operators import JetPoint, OperatorDescriptor, _jsonable
 from .symmat import (
@@ -61,8 +61,19 @@ class TestFunction:
 
     alpha: float
     dim: int
-    x_hat: np.ndarray
-    y_hat: np.ndarray
+    x_hat: np.ndarray | None = None
+    y_hat: np.ndarray | None = None
+
+    def __post_init__(self):
+        alpha, dim = _positive("alpha", self.alpha), _integer("dim", self.dim, 1)
+        defaults = np.eye(1, dim)[0] / alpha, np.zeros(dim)  # x_hat = e1 / alpha, y_hat = 0
+        x_hat, y_hat = (d if v is None else np.array(v, dtype=float)  # copies: frozen below
+                        for v, d in zip((self.x_hat, self.y_hat), defaults))
+        if x_hat.shape != (dim,) or y_hat.shape != (dim,):
+            raise BadParams(f"anchors must be vectors of length {dim}")
+        x_hat.setflags(write=False)
+        y_hat.setflags(write=False)
+        self.__dict__.update(alpha=alpha, dim=dim, x_hat=x_hat, y_hat=y_hat)
 
     @property
     def p(self) -> np.ndarray:
@@ -72,21 +83,6 @@ class TestFunction:
 
 
 def quadratic_doubling(alpha: float, dim: int, x_hat=None, y_hat=None) -> TestFunction:
-    alpha = float(alpha)
-    if not 0.0 < alpha < math.inf:
-        raise BadParams(f"alpha must be finite and > 0, got {alpha}")
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
-        raise BadParams(f"dim must be an integer >= 1, got {dim!r}")
-    if x_hat is None:
-        x_hat = np.zeros(dim)
-        x_hat[0] = 1.0 / alpha
-    if y_hat is None:
-        y_hat = np.zeros(dim)
-    x_hat, y_hat = (np.array(v, dtype=float) for v in (x_hat, y_hat))  # copies: frozen below
-    if x_hat.shape != (dim,) or y_hat.shape != (dim,):
-        raise BadParams(f"anchors must be vectors of length {dim}")
-    x_hat.setflags(write=False)
-    y_hat.setflags(write=False)
     return TestFunction(alpha, dim, x_hat, y_hat)
 
 
@@ -104,24 +100,22 @@ class EpsilonSchedule:
     values: tuple
 
     def __post_init__(self):
-        if not 0.0 < self.eps0 < math.inf:
-            raise BadArgument(f"eps0 must be finite and > 0, got {self.eps0}")
-        vals = tuple(float(v) for v in self.values)
+        eps0 = _positive("eps0", self.eps0, BadArgument)
+        vals = tuple(_positive("each value", v, BadArgument) for v in self.values)
         if not vals:
             raise BadArgument("schedule must be nonempty")
-        if any(not 0.0 < v < self.eps0 for v in vals):
+        if any(v >= eps0 for v in vals):
             raise BadArgument("all schedule values must lie in (0, eps0)")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise BadArgument("schedule values must be strictly decreasing")
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(eps0=eps0, values=vals)
 
     @classmethod
     def geometric(cls, eps0: float = 1.0, ratio: float = 0.5,
                   count: int = 40) -> "EpsilonSchedule":
-        if not 0.0 < ratio < 1.0:
-            raise BadArgument(f"ratio must be in (0, 1), got {ratio}")
-        if count < 1:
-            raise BadArgument(f"count must be >= 1, got {count}")
+        eps0, count = _positive("eps0", eps0, BadArgument), _integer("count", count, 1, BadArgument)
+        if not 0.0 < _as_float(ratio) < 1.0:
+            raise BadArgument(f"ratio must be in (0, 1), got {ratio!r}")
         return cls(eps0, tuple(eps0 * ratio ** i for i in range(1, count + 1)))
 
     def to_json_obj(self) -> dict:
@@ -164,8 +158,8 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
     ||A|| + eps ||A||^2); beyond that envelope, or for huge slack, the error
     is the documented outcome. The construction is closed form: nothing is drawn.
     """
-    if not 0.0 <= slack < math.inf:
-        raise BadArgument(f"slack must be finite and >= 0, got {slack}")
+    if not 0.0 <= _as_float(slack) < math.inf:
+        raise BadArgument(f"slack must be finite and >= 0, got {slack!r}")
     n = a.dim_half
     eye = np.eye(n)
     pairs = []
@@ -224,8 +218,7 @@ def _eq1_margins(a: BlockMatrix2N, eps: float, x: SymmetricMatrix,
 
 def verify_eq1(a: BlockMatrix2N, eps: float, x: SymmetricMatrix, y: SymmetricMatrix) -> bool:
     """Recheck both sides of the two-sided inequality for one pair, at tolerance EQ1_TOL."""
-    if not 0.0 < eps < math.inf:
-        raise BadArgument(f"eps must be finite and > 0, got {eps}")
+    eps = _positive("eps", eps, BadArgument)
     diag, gap = _eq1_terms(a, eps, x, y)
     return _above_floor(a, eps, diag) and _lambda1_at_least(gap, -EQ1_TOL)
 
@@ -248,8 +241,7 @@ def lemma_upper_bound(a: BlockMatrix2N, eps0: float, family: AdmissibleFamily):
     A^2 = [[E^2 + B B^T, *], [*, D^2 + B^T B]] is verified numerically as
     well. Returns PassReport or the first violation as a Certificate.
     """
-    if not 0.0 < eps0 < math.inf:
-        raise BadArgument(f"eps0 must be finite and > 0, got {eps0}")
+    eps0 = _positive("eps0", eps0, BadArgument)
     if any(eps >= eps0 for eps in family.schedule.values):
         raise BadArgument("the family's schedule must lie inside (0, eps0)")
     n = a.dim_half

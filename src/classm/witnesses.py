@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import BadArgument, BadParams, DimMismatch, NonFiniteValue, NotInClassM, OutOfDomain
+from .errors import (BadArgument, BadParams, DimMismatch, NonFiniteValue, NotInClassM, OutOfDomain,
+                     _positive)
 from .operators import (GRAD_NORM_FLOOR, JetPoint, MonotoneFunction, OperatorDescriptor, _finite,
                         _jsonable)
 from .symmat import SymmetricMatrix
@@ -49,17 +50,15 @@ class ClassUWitness:
     name: str = "class_u"
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise BadParams(f"lambda must be finite and > 0, got {self.lam}")
+        object.__setattr__(self, "lam", _positive("lam", self.lam))
 
 
 def class_u_constant(lam: float, h_const: float = 0.0) -> ClassUWitness:
     """Witness with constant H; the common case (H == 0 for linear operators)."""
-    h_const = float(h_const)
+    lam, h_const = _positive("lam", lam), float(h_const)
     if not math.isfinite(h_const):
         raise BadParams(f"H must be finite, got {h_const}")
-    return ClassUWitness(float(lam), lambda _w: h_const,
-                         name=f"class_u(lam={lam:g}, H={h_const:g})")
+    return ClassUWitness(lam, lambda _w: h_const, name=f"class_u(lam={lam:g}, H={h_const:g})")
 
 
 @dataclass(frozen=True)

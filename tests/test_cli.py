@@ -37,6 +37,7 @@ def schema():
 P3 = '{"family":"p_laplace","p":3}'
 LIN = '{"family":"linear_uniform","theta":1}'
 EYE2 = '{"dim":2,"rows":[[1.0,0.0],[0.0,1.0]]}'
+THETA_1E400 = '{"family":"linear_uniform","theta":1e400}'  # JSON reads 1e400 as inf
 
 
 class TestExitCodes:
@@ -177,6 +178,11 @@ class TestExitCodes:
         # a slope so small that the bounds overflow
         ["bounds", "--route", "corollary", "--op", LIN, "--E", EYE2, "--D", EYE2,
          "--lam", "1e-320"],
+        # parameters past the float range or outside their interval, refused by name
+        *(["counterexample", "--name", name, c] for name in ("inf_laplace", "p1_laplace")
+          for c in ("--c=nan", "--c=-inf")),
+        ["check-ellipticity", "--op", THETA_1E400, "--dim", "2"],
+        ["bounds", "--op", THETA_1E400, "--E", EYE2, "--D", EYE2],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -238,9 +244,14 @@ class TestExitCodes:
             ('{"family":"eig_sum","h":"identity","d":3}', "bad fields for family 'eig_sum': "
              "identity_monotone() got an unexpected keyword argument 'd'"),
             ('{"family":"eig_sum","h":"odd_root","d":4}', "d must be an odd integer >= 3, got 4"),
+            (THETA_1E400, "theta must be finite and > 0, got inf"),
             ('{"family":"eig_sum","h":"nope"}',
              "unknown monotone function 'nope'; known: ['arctan', 'identity', 'odd_root']"),
         ]),
+        *((["counterexample", "--name", name, f"--c={c}"], f"c must be finite and <= 0, got {c}")
+          for name in ("inf_laplace", "p1_laplace") for c in ("nan", "-inf")),
+        (["bounds", "--op", THETA_1E400, "--E", EYE2, "--D", EYE2],
+         "theta must be finite and > 0, got inf"),
     ])
     def test_input_error_messages(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
