@@ -52,16 +52,6 @@ class NonConvergent(ToolkitError):
         self.oscillation = oscillation
 
 
-def _as_float(value) -> float:
-    """A real number but a bool as a float (an int past the float range as +-inf), else nan."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return math.nan
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _integer(name: str, value, lo: int, error=BadParams) -> int:
     """``value`` as an int: any integer but a bool, numpy's included, that is >= lo."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
@@ -69,9 +59,21 @@ def _integer(name: str, value, lo: int, error=BadParams) -> int:
     return int(value)
 
 
+def _real(name: str, value, ok, what: str, error=BadParams) -> float:
+    """``value`` as a float if ``ok`` holds of it: any real number but a bool, an int past
+    the float range counting as +-inf; else ``error("{name} must be {what}, got ...")``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        out = math.nan
+    else:
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf if value > 0 else -math.inf
+    if not ok(out):
+        raise error(f"{name} must be {what}, got {value!r}")
+    return out
+
+
 def _positive(name: str, value, error=BadParams) -> float:
     """``value`` as a float: any real number but a bool that is finite and > 0 as a float."""
-    out = _as_float(value)
-    if not 0.0 < out < math.inf:
-        raise error(f"{name} must be finite and > 0, got {value!r}")
-    return out
+    return _real(name, value, lambda v: 0.0 < v < math.inf, "finite and > 0", error)

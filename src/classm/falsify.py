@@ -32,8 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BadArgument, BadParams, SamplingExhausted, ToolkitError, _as_float,
-                     _integer, _positive)
+from .errors import (BadArgument, BadParams, SamplingExhausted, ToolkitError, _integer,
+                     _positive, _real)
 from .operators import (
     JetPoint,
     MonotoneFunction,
@@ -87,10 +87,9 @@ class SampleConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), lo, BadArgument))
         if self.seed >= 2**64:
             raise BadArgument(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        scale = _positive("scale", self.scale, BadArgument)
         # draws are uniform on [-scale, scale], whose width 2 * scale must be finite
-        if scale > sys.float_info.max / 2.0:
-            raise BadArgument(f"scale must be > 0 with 2 * scale finite, got {self.scale!r}")
+        scale = _real("scale", self.scale, lambda v: 0.0 < v <= sys.float_info.max / 2.0,
+                      "> 0 with 2 * scale finite", BadArgument)
         # an integer scale stays an integer, so a report prints it as it was given
         object.__setattr__(self, "scale",
                            int(self.scale) if hasattr(self.scale, "__index__") else scale)
@@ -632,10 +631,9 @@ def _flat_divergence(kind: str, op: OperatorDescriptor, axis: int, spike, dim: i
     """-F(e_axis, spike(dim, c')) is the same for c' = 0, -1, -1e3 and c while
     lambda_1 = c' runs away: the certificate, with -F taken from the first rung."""
     dim = _integer("dim", dim, 2)
-    if not -math.inf < _as_float(c) <= 0.0:
-        raise BadParams(f"c must be finite and <= 0, got {c!r}")
+    c = _real("c", c, lambda v: -math.inf < v <= 0.0, "finite and <= 0")
     omega = unit_jet(dim, axis=axis)
-    grid = sorted({0.0, -1.0, -1e3, float(c)}, reverse=True)
+    grid = sorted({0.0, -1.0, -1e3, c}, reverse=True)
     rows = []
     for cval in grid:  # spike(dim, cval) is diagonal with least entry cval, so lambda_1 = cval
         value = -op.evaluate(omega, spike(dim, cval))
@@ -673,7 +671,9 @@ def _khessian_formula(n: int, k: int, m: int) -> int:
 
 
 def _cert_k_hessian(dim: int = 3, k: int = 2, n: int = 5) -> Certificate:
-    dim, k, n = _integer("dim", dim, 2), _integer("k", k, 2), _integer("n", n, 1)
+    dim = _integer("dim", dim, 2)
+    k = _integer("k", k, 2)
+    n = _integer("n", n, 1)
     if k > dim:
         raise BadParams(f"k must be <= dim, got dim={dim}, k={k}")
     rows = []
@@ -720,11 +720,12 @@ def _cert_p1_laplace(dim: int = 4, c: float = -100.0) -> Certificate:
 
 def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
                       h_const: float = 0.0) -> Certificate:
-    dim, lam = _integer("dim", dim, 2), _positive("lam", lam)
+    dim = _integer("dim", dim, 2)
+    lam = _positive("lam", lam)
+    k_const = _real("H", h_const, math.isfinite, "finite")
     op = eig_sum(odd_root_monotone(d))
     omega = unit_jet(dim)
     zero = SymmetricMatrix.zero(dim)
-    k_const = float(h_const)
     for j in range(0, 120):
         n = 2.0 ** j
         x = SymmetricMatrix.diagonal([-n] + [-1.0 / n] * (dim - 1))
@@ -740,7 +741,10 @@ def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
 
 def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
                           h_const: float = 0.0) -> Certificate:
-    p, dim, lam = _positive("p", p), _integer("dim", dim, 2), _positive("lam", lam)
+    p = _positive("p", p)
+    dim = _integer("dim", dim, 2)
+    lam = _positive("lam", lam)
+    h_val = _real("H", h_const, math.isfinite, "finite")
     if p == 2.0:
         raise BadParams("p = 2 is the Laplacian, which is uniformly elliptic")
     op = p_laplace(p)
@@ -755,7 +759,6 @@ def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
         raise BadParams(f"cannot realize |c|^(p-2) = lam/2 for p={p}, lam={lam}")
     base = unit_jet(dim)
     omega = JetPoint(base.x, base.r, base.nu * c)
-    h_val = float(h_const)
     ell = 2.0 * (abs(h_val) + 1.0) / lam + 1.0
     tail = np.zeros(dim)
     tail[-1] = ell

@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import BadParams, NonFiniteValue, OutOfDomain, ToolkitError, _integer, _positive
+from .errors import BadParams, NonFiniteValue, OutOfDomain, ToolkitError, _integer, _positive, _real
 from .symmat import (
     GAMMA_CONE_TOL,
     SymmetricMatrix,
@@ -261,9 +261,7 @@ def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescript
 
 
 def _p_laplace(p: float, homogeneous: bool) -> OperatorDescriptor:
-    p = _positive("p", p)
-    if p < 1.0:
-        raise BadParams(f"p must be >= 1, got {p}")
+    p = _real("p", p, lambda v: 1.0 <= v < math.inf, "finite and >= 1")
     # |nu|^0 = 1 exactly, so the homogeneous bracket keeps its bits.
     power = 0.0 if homogeneous else p - 2.0
     family = "p_laplace_homog" if homogeneous else "p_laplace"

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (BadArgument, BadParams, DimMismatch, NonConvergent, SlackTooLarge,
-                     ToolkitError, _as_float, _integer, _positive)
+                     ToolkitError, _integer, _positive, _real)
 from .falsify import Certificate, PassReport
 from .operators import JetPoint, OperatorDescriptor, _jsonable
 from .symmat import (
@@ -65,10 +65,11 @@ class TestFunction:
     y_hat: np.ndarray | None = None
 
     def __post_init__(self):
-        alpha, dim = _positive("alpha", self.alpha), _integer("dim", self.dim, 1)
-        defaults = np.eye(1, dim)[0] / alpha, np.zeros(dim)  # x_hat = e1 / alpha, y_hat = 0
-        x_hat, y_hat = (d if v is None else np.array(v, dtype=float)  # copies: frozen below
-                        for v, d in zip((self.x_hat, self.y_hat), defaults))
+        alpha = _positive("alpha", self.alpha)
+        dim = _integer("dim", self.dim, 1)
+        # a given anchor is copied, since it is frozen below; x_hat = e1 / alpha, y_hat = 0
+        x_hat = np.eye(1, dim)[0] / alpha if self.x_hat is None else np.array(self.x_hat, float)
+        y_hat = np.zeros(dim) if self.y_hat is None else np.array(self.y_hat, float)
         if x_hat.shape != (dim,) or y_hat.shape != (dim,):
             raise BadParams(f"anchors must be vectors of length {dim}")
         x_hat.setflags(write=False)
@@ -101,11 +102,10 @@ class EpsilonSchedule:
 
     def __post_init__(self):
         eps0 = _positive("eps0", self.eps0, BadArgument)
-        vals = tuple(_positive("each value", v, BadArgument) for v in self.values)
+        vals = tuple(_real("each value", v, lambda e: 0.0 < e < eps0, "in (0, eps0)", BadArgument)
+                     for v in self.values)
         if not vals:
             raise BadArgument("schedule must be nonempty")
-        if any(v >= eps0 for v in vals):
-            raise BadArgument("all schedule values must lie in (0, eps0)")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise BadArgument("schedule values must be strictly decreasing")
         self.__dict__.update(eps0=eps0, values=vals)
@@ -113,9 +113,9 @@ class EpsilonSchedule:
     @classmethod
     def geometric(cls, eps0: float = 1.0, ratio: float = 0.5,
                   count: int = 40) -> "EpsilonSchedule":
-        eps0, count = _positive("eps0", eps0, BadArgument), _integer("count", count, 1, BadArgument)
-        if not 0.0 < _as_float(ratio) < 1.0:
-            raise BadArgument(f"ratio must be in (0, 1), got {ratio!r}")
+        eps0 = _positive("eps0", eps0, BadArgument)
+        ratio = _real("ratio", ratio, lambda v: 0.0 < v < 1.0, "in (0, 1)", BadArgument)
+        count = _integer("count", count, 1, BadArgument)
         return cls(eps0, tuple(eps0 * ratio ** i for i in range(1, count + 1)))
 
     def to_json_obj(self) -> dict:
@@ -158,8 +158,7 @@ def generate_admissible(a: BlockMatrix2N, sched: EpsilonSchedule,
     ||A|| + eps ||A||^2); beyond that envelope, or for huge slack, the error
     is the documented outcome. The construction is closed form: nothing is drawn.
     """
-    if not 0.0 <= _as_float(slack) < math.inf:
-        raise BadArgument(f"slack must be finite and >= 0, got {slack!r}")
+    slack = _real("slack", slack, lambda v: 0.0 <= v < math.inf, "finite and >= 0", BadArgument)
     n = a.dim_half
     eye = np.eye(n)
     pairs = []

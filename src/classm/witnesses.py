@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (BadArgument, BadParams, DimMismatch, NonFiniteValue, NotInClassM, OutOfDomain,
-                     _positive)
+                     _positive, _real)
 from .operators import (GRAD_NORM_FLOOR, JetPoint, MonotoneFunction, OperatorDescriptor, _finite,
                         _jsonable)
 from .symmat import SymmetricMatrix
@@ -55,9 +55,8 @@ class ClassUWitness:
 
 def class_u_constant(lam: float, h_const: float = 0.0) -> ClassUWitness:
     """Witness with constant H; the common case (H == 0 for linear operators)."""
-    lam, h_const = _positive("lam", lam), float(h_const)
-    if not math.isfinite(h_const):
-        raise BadParams(f"H must be finite, got {h_const}")
+    lam = _positive("lam", lam)
+    h_const = _real("H", h_const, math.isfinite, "finite")
     return ClassUWitness(lam, lambda _w: h_const, name=f"class_u(lam={lam:g}, H={h_const:g})")
 
 

@@ -76,6 +76,8 @@ ENTRIES = [
     ("ClassUWitness", "lam", "lam", BadParams,
      lambda v: ClassUWitness(v, lambda _w: 0.0), (2, 0.5)),
     ("class_u_constant", "lam", "lam", BadParams, class_u_constant, (2, 0.5)),
+    ("class_u_constant", "h_const", "H", BadParams, lambda v: class_u_constant(1.0, v),
+     (2, -0.5)),
     ("linear_uniform", "theta", "theta", BadParams, linear_uniform, (2, 0.5)),
     ("p_laplace", "p", "p", BadParams, p_laplace, (4, 1.5)),
     ("p_laplace_homog", "p", "p", BadParams, p_laplace_homog, (4, 1.5)),
@@ -101,12 +103,16 @@ ENTRIES = [
      lambda v: counterexample("power_not_u", dim=v), (3,)),
     ("counterexample power_not_u", "lam", "lam", BadParams,
      lambda v: counterexample("power_not_u", lam=v), (2, 0.5)),
+    ("counterexample power_not_u", "h_const", "H", BadParams,
+     lambda v: counterexample("power_not_u", h_const=v), (2, -0.5)),
     ("counterexample p_laplace_not_u", "p", "p", BadParams,
      lambda v: counterexample("p_laplace_not_u", p=v), (4, 3.5)),
     ("counterexample p_laplace_not_u", "dim", "dim", BadParams,
      lambda v: counterexample("p_laplace_not_u", dim=v), (3,)),
     ("counterexample p_laplace_not_u", "lam", "lam", BadParams,
      lambda v: counterexample("p_laplace_not_u", lam=v), (2, 0.5)),
+    ("counterexample p_laplace_not_u", "h_const", "H", BadParams,
+     lambda v: counterexample("p_laplace_not_u", h_const=v), (2, -0.5)),
     ("counterexample bounded_h", "dim", "dim", BadParams,
      lambda v: counterexample("bounded_h", dim=v), (2,)),
 ]
@@ -149,7 +155,7 @@ def test_numpy_numbers_build_what_python_numbers_build(entry, param, name, error
 
 
 def test_only_errors_py_decides_what_a_number_is():
-    """The rule lives in errors._integer and errors._positive; no other module asks
+    """The rule lives in errors._integer and errors._real; no other module asks
     numbers.Integral or numbers.Real for itself."""
     asking = sorted(path.name for path in SRC.glob("*.py")
                     if re.search(r"numbers\.(Integral|Real)\b", path.read_text()))
