@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteValue,
     NotInClassM,
     ToolkitError,
+    _is_number,
 )
 from .falsify import (
     _COUNTEREXAMPLES,
@@ -46,7 +47,6 @@ from .falsify import (
 from .operators import JetPoint, OperatorDescriptor, catalog, operator_from_json, unit_jet
 from .symmat import (
     SymmetricMatrix,
-    _is_number,
     matrix_from_json_obj,
     matrix_to_json_obj,
     parse_matrix_text,
@@ -169,6 +169,12 @@ def _add_sampling(sub):
     sub.add_argument("--scale", type=float, default=1.0)
 
 
+# counterexample flag -> (the construction parameter it sets, its type)
+_CERT_FLAGS = {"--dim": ("dim", int), "--k": ("k", int), "--n": ("n", int), "--c": ("c", float),
+               "--p": ("p", float), "--lam": ("lam", float), "--hconst": ("h_const", float),
+               "--d-root": ("d", int)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="classm",
@@ -214,18 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nu", default=None, help="gradient slot as a JSON list (default e1)")
     _add_common(s)
 
-    s = subs.add_parser("counterexample", help="reproduce a named construction")
-    # each flag's dest is a parameter name; it reaches the constructors that take it
+    s = subs.add_parser("counterexample", help="reproduce a named construction",
+                        description="--d-root D_ROOT is the odd root exponent d of power_not_u")
     s.add_argument("--name", required=True, choices=_COUNTEREXAMPLES)
-    s.add_argument("--dim", type=int, default=None)
-    s.add_argument("--k", type=int, default=None)
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--c", type=float, default=None)
-    s.add_argument("--p", type=float, default=None)
-    s.add_argument("--lam", type=float, default=None)
-    s.add_argument("--hconst", type=float, default=None, dest="h_const", metavar="HCONST")
-    s.add_argument("--d-root", type=int, default=None, dest="d", metavar="D_ROOT",
-                   help="odd root exponent d for power_not_u")
+    for flag, (dest, kind) in _CERT_FLAGS.items():
+        s.add_argument(flag, type=kind, dest=dest, metavar=flag[2:].upper().replace("-", "_"))
     _add_common(s, default_expect="fail")
 
     s = subs.add_parser("sums-demo",
@@ -306,8 +305,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     params = inspect.signature(_COUNTEREXAMPLES[args.name]).parameters
-    cert = counterexample(args.name, **{name: getattr(args, name) for name in params
-                                        if getattr(args, name, None) is not None})
+    given = {dest: getattr(args, dest) for dest, _ in _CERT_FLAGS.values()}
+    for flag, (dest, _) in _CERT_FLAGS.items():
+        if given[dest] is not None and dest not in params:
+            raise BadArgument(f"{flag} does not apply to counterexample {args.name}")
+    cert = counterexample(args.name, **{k: v for k, v in given.items() if v is not None})
     return _finish_certificate(cert, args)
 
 

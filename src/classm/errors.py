@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the one rule for numeric parameters."""
+"""Exception types shared across the toolkit, the one rule for numeric parameters, and the
+rule for numbers read from JSON."""
 
 import math
 import numbers
@@ -52,23 +53,28 @@ class NonConvergent(ToolkitError):
         self.oscillation = oscillation
 
 
-def _integer(name: str, value, lo: int, error=BadParams) -> int:
-    """``value`` as an int: any integer but a bool, numpy's included, that is >= lo."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
-        raise error(f"{name} must be an integer >= {lo}, got {value!r}")
-    return int(value)
+def _integer(name: str, value, lo: int, error=BadParams, hi=None, odd=False) -> int:
+    """``value`` as an int: any integer but a bool, numpy's included, in lo..hi (no top when hi
+    is None) and odd when ``odd`` is set; else ``error("{name} must be an integer ...")``."""
+    if type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        if lo <= value and (hi is None or value <= hi) and (not odd or value % 2):
+            return int(value)
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise error(f"{name} must be an {'odd ' if odd else ''}integer {span}, got {value!r}")
 
 
 def _real(name: str, value, ok, what: str, error=BadParams) -> float:
     """``value`` as a float if ``ok`` holds of it: any real number but a bool, an int past
     the float range counting as +-inf; else ``error("{name} must be {what}, got ...")``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        out = math.nan
-    else:
+    if type(value) is float:
+        out = value
+    elif type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
             out = float(value)
         except OverflowError:
             out = math.inf if value > 0 else -math.inf
+    else:
+        out = math.nan
     if not ok(out):
         raise error(f"{name} must be {what}, got {value!r}")
     return out
@@ -77,3 +83,20 @@ def _real(name: str, value, ok, what: str, error=BadParams) -> float:
 def _positive(name: str, value, error=BadParams) -> float:
     """``value`` as a float: any real number but a bool that is finite and > 0 as a float."""
     return _real(name, value, lambda v: 0.0 < v < math.inf, "finite and > 0", error)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: not a boolean or a string, which Python would coerce."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers_only(value) -> bool:
+    """A JSON number or a list of them nested to any depth."""
+    return all(map(_numbers_only, value)) if isinstance(value, list) else _is_number(value)
+
+
+def _integer_field(name: str, value) -> int:
+    """An integer JSON field; a float counts only when it is integral, as 2.0 is."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise BadParams(f"field {name!r} must be an integer, got {value!r}")

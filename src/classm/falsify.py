@@ -83,10 +83,8 @@ class SampleConfig:
     dim: int = 3
 
     def __post_init__(self):
-        for name, lo in (("seed", 0), ("trials", 1), ("dim", 1)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), lo, BadArgument))
-        if self.seed >= 2**64:
-            raise BadArgument(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        for name, lo, hi in (("seed", 0, 2**64 - 1), ("trials", 1, None), ("dim", 1, None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), lo, BadArgument, hi))
         # draws are uniform on [-scale, scale], whose width 2 * scale must be finite
         scale = _real("scale", self.scale, lambda v: 0.0 < v <= sys.float_info.max / 2.0,
                       "> 0 with 2 * scale finite", BadArgument)
@@ -672,10 +670,8 @@ def _khessian_formula(n: int, k: int, m: int) -> int:
 
 def _cert_k_hessian(dim: int = 3, k: int = 2, n: int = 5) -> Certificate:
     dim = _integer("dim", dim, 2)
-    k = _integer("k", k, 2)
+    k = _integer("k", k, 2, hi=dim)
     n = _integer("n", n, 1)
-    if k > dim:
-        raise BadParams(f"k must be <= dim, got dim={dim}, k={k}")
     rows = []
     for step in range(5):
         nn = n * 2**step

@@ -26,14 +26,14 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import BadParams, NonFiniteValue, OutOfDomain, ToolkitError, _integer, _positive, _real
+from .errors import (BadParams, NonFiniteValue, OutOfDomain, ToolkitError, _integer,
+                     _integer_field, _numbers_only, _positive, _real)
 from .symmat import (
     GAMMA_CONE_TOL,
     SymmetricMatrix,
-    _is_number,
+    _gamma_k,
     _lambda1_at_least,
-    elementary_symmetric,
-    gamma_k_member,
+    elementary_symmetric_prefix,
     matrix_to_json_obj,
 )
 
@@ -59,8 +59,8 @@ class JetPoint:
         nu = np.array(self.nu, dtype=float, ndmin=1)
         if x.ndim != 1 or nu.ndim != 1 or x.shape != nu.shape:
             raise BadParams(f"x and nu must be vectors of equal length, got {x.shape} and {nu.shape}")
-        r = float(self.r)
-        if not all(map(math.isfinite, x.tolist() + nu.tolist() + [r])):
+        r = _real("r", self.r, math.isfinite, "finite")
+        if not all(map(math.isfinite, x.tolist() + nu.tolist())):
             raise BadParams("jet point components must be finite")
         self._store(x, r, nu)
 
@@ -84,9 +84,10 @@ class JetPoint:
 
 
 def unit_jet(dim: int, axis: int = 0) -> JetPoint:
-    """Jet point at the origin with r = 0 and nu = e_axis; handy default for checks."""
+    """Jet point at the origin with r = 0 and nu = e_axis, axis in -dim..dim-1; for checks."""
+    dim = _integer("dim", dim, 1)
     nu = np.zeros(dim)
-    nu[axis] = 1.0
+    nu[_integer("axis", axis, -dim, hi=dim - 1)] = 1.0
     return JetPoint(np.zeros(dim), 0.0, nu)
 
 
@@ -131,9 +132,7 @@ def identity_monotone() -> MonotoneFunction:
 
 def odd_root_monotone(d: int) -> MonotoneFunction:
     """t -> sign(t) |t|^(1/d), the real d-th root for odd d >= 3."""
-    d = _integer("d", d, 3)
-    if d % 2 == 0:
-        raise BadParams(f"d must be an odd integer >= 3, got {d}")
+    d = _integer("d", d, 3, odd=True)
     return MonotoneFunction(
         f"odd_root({d})",
         lambda t: math.copysign(abs(t) ** (1.0 / d), t),
@@ -235,6 +234,8 @@ def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescript
 
     sigma_at = _of_x(sigma, _psd_sample)
     b_at = _of_x(b, lambda v: np.asarray(v, dtype=float))
+    if c is not None and not callable(c):
+        c = _real("c", c, math.isfinite, "finite")
     c_at = _of_x(c, float)
 
     def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
@@ -319,18 +320,18 @@ def inf_laplace_homog() -> OperatorDescriptor:
 def k_hessian(k: int) -> OperatorDescriptor:
     """F_k(X) = -S_k(lambda(X)), restricted to the closed cone Gamma_k-bar.
 
-    k >= 1 is validated here; k <= N is validated against the matrix at
-    evaluation time since descriptors are dimension generic.
+    k >= 1 is validated here; k <= N is validated against the matrix by the
+    domain check, since descriptors are dimension generic.
     """
     k = _integer("k", k, 1)
 
     def in_domain(w: JetPoint, x_mat: SymmetricMatrix) -> bool:
         if k > x_mat.dim:
             raise BadParams(f"k_hessian(k={k}) applied to a {x_mat.dim}x{x_mat.dim} matrix")
-        return gamma_k_member(x_mat, k, GAMMA_CONE_TOL)
+        return _gamma_k(x_mat, k, GAMMA_CONE_TOL)
 
     def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
-        return -float(elementary_symmetric(k, x_mat.eigenvalues().tolist()))
+        return -float(elementary_symmetric_prefix(x_mat.eigenvalues().tolist(), k)[-1])
 
     return OperatorDescriptor(
         name=f"k_hessian(k={k})",
@@ -426,18 +427,6 @@ def operator_from_json(spec) -> OperatorDescriptor:
         raise
     except (TypeError, ValueError) as exc:
         raise BadParams(f"bad fields for family {family!r}: {exc}") from exc
-
-
-def _numbers_only(value) -> bool:
-    """A JSON number or a list of them nested to any depth."""
-    return all(map(_numbers_only, value)) if isinstance(value, list) else _is_number(value)
-
-
-def _integer_field(name: str, value) -> int:
-    """An integer JSON field; a float counts only when it is integral, as 2.0 is."""
-    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise BadParams(f"field {name!r} must be an integer, got {value!r}")
 
 
 def _eig_sum_from_json(spec: dict) -> OperatorDescriptor:

@@ -34,7 +34,8 @@ import sys
 
 import numpy as np
 
-from .errors import BadArgument, DimMismatch, InvalidMatrix, ToolkitError
+from .errors import (BadArgument, DimMismatch, InvalidMatrix, ToolkitError, _integer,
+                     _is_number, _real)
 
 # Construction rejects inputs whose raw asymmetry exceeds this fraction of
 # the largest entry; below the threshold we silently symmetrize.
@@ -172,10 +173,11 @@ class SymmetricMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SymmetricMatrix":
-        return cls(np.eye(n))
+        return cls(np.eye(_integer("n", n, 1, BadArgument)))
 
     @classmethod
     def zero(cls, n: int) -> "SymmetricMatrix":
+        n = _integer("n", n, 1, BadArgument)
         return cls(np.zeros((n, n)))
 
     @classmethod
@@ -183,7 +185,8 @@ class SymmetricMatrix:
         return cls(np.diag(np.asarray(values, dtype=float)))
 
     def scaled(self, factor: float) -> "SymmetricMatrix":
-        return SymmetricMatrix(self.entries * float(factor))
+        return SymmetricMatrix(self.entries * _real("factor", factor, math.isfinite, "finite",
+                                                    BadArgument))
 
     def negated(self) -> "SymmetricMatrix":
         if self._negation is None:
@@ -379,8 +382,7 @@ def loewner_leq(x: SymmetricMatrix, y: SymmetricMatrix, tol: float = DEFAULT_LOE
     """True iff x <= y in the Loewner order, i.e. lambda_1(y - x) >= -tol."""
     if x.dim != y.dim:
         raise DimMismatch(f"Loewner comparison of {x.dim}x{x.dim} against {y.dim}x{y.dim}")
-    if tol < 0.0:
-        raise BadArgument(f"tolerance must be >= 0, got {tol}")
+    tol = _real("tol", tol, lambda v: 0.0 <= v < math.inf, "finite and >= 0", BadArgument)
     return _lambda1_at_least(SymmetricMatrix(y.entries - x.entries), -tol)
 
 
@@ -431,10 +433,7 @@ def elementary_symmetric(k: int, values) -> float:
     exact integer arithmetic.
     """
     vals = list(values)
-    n = len(vals)
-    if not isinstance(k, int) or k < 1 or k > n:
-        raise BadArgument(f"k must be an integer in 1..{n}, got {k!r}")
-    return elementary_symmetric_prefix(vals, k)[-1]
+    return elementary_symmetric_prefix(vals, _integer("k", k, 1, BadArgument, len(vals)))[-1]
 
 
 def elementary_symmetric_prefix(values, kmax: int) -> list:
@@ -454,16 +453,18 @@ def gamma_k_member(x: SymmetricMatrix, k: int, tol: float = GAMMA_CONE_TOL) -> b
     of the open cone where all the S_j are positive, which is the admissible
     domain of the k-Hessian operator.
     """
-    if not isinstance(k, int) or k < 1 or k > x.dim:
-        raise BadArgument(f"k must be an integer in 1..{x.dim}, got {k!r}")
-    if tol < 0.0:
-        raise BadArgument(f"tolerance must be >= 0, got {tol}")
+    k = _integer("k", k, 1, BadArgument, x.dim)
+    tol = _real("tol", tol, lambda v: 0.0 <= v < math.inf, "finite and >= 0", BadArgument)
+    return _gamma_k(x, k, tol)
+
+
+def _gamma_k(x: SymmetricMatrix, k: int, tol: float) -> bool:
+    """``gamma_k_member`` for an int k in 1..N and a float tol >= 0, unchecked."""
     if x._evals is None:
         decided = _gamma_k_certified(x.entries.tolist(), k, tol)
         if decided is not None:
             return decided
-    sums = elementary_symmetric_prefix(x.eigenvalues().tolist(), k)
-    return all(s >= -tol for s in sums)
+    return all(s >= -tol for s in elementary_symmetric_prefix(x.eigenvalues().tolist(), k))
 
 
 def _gamma_k_certified(a: list, k: int, tol: float):
@@ -601,11 +602,6 @@ def parse_matrix_text(text: str) -> SymmetricMatrix:
     return SymmetricMatrix(np.array(data))
 
 
-def _is_number(value) -> bool:
-    """A JSON number: not a boolean or a string, which Python would coerce."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def matrix_to_json_obj(x: SymmetricMatrix) -> dict:
     return {"dim": x.dim, "rows": [[float(v) for v in row] for row in x.entries]}
 
@@ -613,9 +609,7 @@ def matrix_to_json_obj(x: SymmetricMatrix) -> dict:
 def matrix_from_json_obj(obj) -> SymmetricMatrix:
     if not isinstance(obj, dict) or set(obj.keys()) != {"dim", "rows"}:
         raise InvalidMatrix(f"matrix JSON must have exactly the keys dim and rows, got {obj!r}")
-    n, rows = obj["dim"], obj["rows"]
-    if type(n) is not int or n < 1:
-        raise InvalidMatrix(f"dim must be a positive integer, got {n!r}")
+    n, rows = _integer("dim", obj["dim"], 1, InvalidMatrix), obj["rows"]
     if not (isinstance(rows, list) and len(rows) == n and all(
             isinstance(row, list) and len(row) == n and all(map(_is_number, row)) for row in rows)):
         raise InvalidMatrix(f"rows must be an {n}x{n} nested list of numbers")

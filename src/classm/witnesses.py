@@ -28,7 +28,7 @@ H(lambda_j(-M)) over j = 1..N-1, i.e. the N-1 smallest such values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .errors import (BadArgument, BadParams, DimMismatch, NonFiniteValue, NotInClassM, OutOfDomain,
@@ -87,9 +87,11 @@ class ClassMWitness:
             raise OutOfDomain(f"{self.name}: matrix is outside this witness's domain")
 
     def evaluate(self, t: float, m: SymmetricMatrix, *, checked: bool = True) -> float:
-        """g(t, M); ``checked=False`` skips the domain gate for a caller that passed it."""
+        """g(t, M); ``checked=False`` skips the domain gate and the number rule on t, for a
+        caller that passes a float t in the domain."""
         if checked:
             self._gate(m)
+            t = _real("t", t, math.isfinite, "finite", BadArgument)
         return _finite(self.name, self.eval_fn, float(t), m)
 
     def inv_at_zero(self, m: SymmetricMatrix, *, checked: bool = True) -> float:
@@ -171,8 +173,8 @@ def witness_p_laplace(p: float, omega: JetPoint,
     With ``homogeneous`` the |nu|^(p-2) prefactor is dropped, which leaves
     every inverse at zero unchanged.
     """
-    p = float(p)
-    if not math.isfinite(p) or p <= 1.0:
+    p = _real("p", p, math.isfinite, "finite")
+    if p <= 1.0:
         raise NotInClassM(f"the p-Laplace operator has a witness pair iff 1 < p < inf, got p={p}")
     nn = omega._nu_norm
     if nn < GRAD_NORM_FLOOR:
@@ -330,17 +332,10 @@ def corollary_bounds(op: OperatorDescriptor, w: ClassUWitness,
       lower_X    = (H(wx) + F(wx, E)) / lam + lambda_1(E)
       lower_negY = (H(wy) - F(wy, -D)) / lam - lambda_N(-D)
 
-    Equal (exactly, not just numerically) to theorem_lower_bounds applied to
-    the class_u_to_class_m pair built at wx and wy.
+    Computed as theorem_lower_bounds on the class_u_to_class_m pair at wx and wy, so the
+    routes agree by construction; a zero lower_negY stays +0.0 where that route gives -0.0.
     """
-    lam = w.lam
-    neg_d = d.negated()
-    lower_x = (float(w.H(wx)) + op.evaluate(wx, e)) / lam + float(e.eigenvalues()[0])
-    lower_neg_y = (float(w.H(wy)) - op.evaluate(wy, neg_d)) / lam - float(neg_d.eigenvalues()[-1])
-    return BoundReport(
-        lower_X=lower_x,
-        lower_negY=lower_neg_y,
-        upper_block_ok=True,
-        witness=f"{w.name}[{op.name}]",
-        details={"route": "corollary", "block_checked": False, "lam": lam},
-    )
+    report = theorem_lower_bounds(class_u_to_class_m(op, w, wx)[0],
+                                  class_u_to_class_m(op, w, wy)[1], e, d)
+    return replace(report, lower_negY=report.lower_negY + 0.0, witness=f"{w.name}[{op.name}]",
+                   details={"route": "corollary", "block_checked": False, "lam": w.lam})

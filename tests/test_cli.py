@@ -183,6 +183,10 @@ class TestExitCodes:
           for c in ("--c=nan", "--c=-inf")),
         ["check-ellipticity", "--op", THETA_1E400, "--dim", "2"],
         ["bounds", "--op", THETA_1E400, "--E", EYE2, "--D", EYE2],
+        # a flag that the named construction does not take
+        ["counterexample", "--name", "inf_laplace", "--k", "3"],
+        ["counterexample", "--name", "bounded_h", "--c", "-5"],
+        ["counterexample", "--name", "k_hessian", "--lam", "2"],
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, capsys, recwarn, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -237,7 +241,8 @@ class TestExitCodes:
         (["sums-demo", "--eps0", "inf", "--dim", "2", "--op", LIN],
          "eps0 must be finite and > 0, got inf"),
         (["bounds", "--route", "corollary", "--op", LIN, "--E", EYE2, "--D", EYE2,
-          "--lam", "1e-320"], "bound report scalars must be finite"),
+          "--lam", "1e-320"], "class_u_g1[linear_uniform(theta=1)]: evaluation produced a "
+         "non-finite value"),
         *((["check-ellipticity", "--op", spec, "--dim", "2"], message) for spec, message in [
             ('{"family":"eig_sum","h":"odd_root"}', "bad fields for family 'eig_sum': "
              "odd_root_monotone() missing 1 required positional argument: 'd'"),
@@ -252,6 +257,10 @@ class TestExitCodes:
           for name in ("inf_laplace", "p1_laplace") for c in ("nan", "-inf")),
         (["bounds", "--op", THETA_1E400, "--E", EYE2, "--D", EYE2],
          "theta must be finite and > 0, got inf"),
+        (["counterexample", "--name", "bounded_h", "--d-root", "5"],
+         "--d-root does not apply to counterexample bounded_h"),
+        (["counterexample", "--name", "p1_laplace", "--hconst", "1"],
+         "--hconst does not apply to counterexample p1_laplace"),
     ])
     def test_input_error_messages(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

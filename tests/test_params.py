@@ -19,20 +19,30 @@ from classm import (
     BadParams,
     ClassUWitness,
     EpsilonSchedule,
+    InvalidMatrix,
+    JetPoint,
+    NotInClassM,
     SampleConfig,
+    SymmetricMatrix,
     class_u_constant,
     counterexample,
+    elementary_symmetric,
+    gamma_k_member,
     generate_admissible,
     hessian_blocks,
     k_hessian,
     lemma_upper_bound,
     linear_uniform,
+    loewner_leq,
+    matrix_from_json_obj,
     odd_root_monotone,
     p_laplace,
     p_laplace_homog,
     quadratic_doubling,
     sums,
+    unit_jet,
     verify_eq1,
+    witness_p_laplace,
 )
 from classm.operators import _jsonable
 
@@ -41,6 +51,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "classm"
 _BLOCKS = hessian_blocks(quadratic_doubling(1.0, 2))
 _SCHEDULE = EpsilonSchedule.geometric(1.0, 0.5, 4)
 _FAMILY = generate_admissible(_BLOCKS, _SCHEDULE)
+_I2, _Z2 = SymmetricMatrix.identity(2), SymmetricMatrix.zero(2)
+_JET1 = JetPoint([0.0], 1.0, [1.0])  # F = c at X = 0 for linear_uniform
+_G1 = witness_p_laplace(4.0, unit_jet(2))[0]
 
 
 # (entry point, parameter, name in the message, error class, call with the value,
@@ -115,6 +128,25 @@ ENTRIES = [
      lambda v: counterexample("p_laplace_not_u", h_const=v), (2, -0.5)),
     ("counterexample bounded_h", "dim", "dim", BadParams,
      lambda v: counterexample("bounded_h", dim=v), (2,)),
+    ("loewner_leq", "tol", "tol", BadArgument, lambda v: loewner_leq(_Z2, _I2, v), (0, 1e-9)),
+    ("gamma_k_member", "k", "k", BadArgument, lambda v: gamma_k_member(_I2, v), (1, 2)),
+    ("gamma_k_member", "tol", "tol", BadArgument,
+     lambda v: gamma_k_member(_I2, 1, v), (0, 1e-9)),
+    ("elementary_symmetric", "k", "k", BadArgument,
+     lambda v: elementary_symmetric(v, [1.0, 2.0]), (1, 2)),
+    ("SymmetricMatrix.identity", "n", "n", BadArgument, SymmetricMatrix.identity, (2,)),
+    ("SymmetricMatrix.zero", "n", "n", BadArgument, SymmetricMatrix.zero, (2,)),
+    ("SymmetricMatrix.scaled", "factor", "factor", BadArgument, _I2.scaled, (2, -0.5)),
+    ("matrix_from_json_obj", "dim", "dim", InvalidMatrix,
+     lambda v: matrix_from_json_obj({"dim": v, "rows": [[1.0]]}), (1,)),
+    ("JetPoint", "r", "r", BadParams, lambda v: JetPoint([0.0], v, [1.0]), (2, -1.5)),
+    ("unit_jet", "dim", "dim", BadParams, unit_jet, (2,)),
+    ("unit_jet", "axis", "axis", BadParams, lambda v: unit_jet(2, axis=v), (1, -2)),
+    ("linear_uniform", "c", "c", BadParams,
+     lambda v: linear_uniform(1.0, c=v).evaluate(_JET1, SymmetricMatrix.zero(1)), (2, -0.5)),
+    ("witness_p_laplace", "p", "p", BadParams,
+     lambda v: witness_p_laplace(v, unit_jet(2)), (4, 1.5)),
+    ("ClassMWitness.evaluate", "t", "t", BadArgument, lambda v: _G1.evaluate(v, _I2), (2, -0.5)),
 ]
 
 _IDS = [f"{entry}.{param}" for entry, param, *_ in ENTRIES]
@@ -154,9 +186,50 @@ def test_numpy_numbers_build_what_python_numbers_build(entry, param, name, error
         assert _shown(call(as_numpy)) == _shown(call(value)), value
 
 
+# Values of the right kind outside their range, each with the whole message it raises.
+REFUSED_IN_FULL = [
+    (lambda: unit_jet(-1), BadParams, "dim must be an integer >= 1, got -1"),
+    (lambda: unit_jet(2, axis=5), BadParams, "axis must be an integer in -2..1, got 5"),
+    (lambda: unit_jet(2, axis=-3), BadParams, "axis must be an integer in -2..1, got -3"),
+    (lambda: unit_jet(2, axis=True), BadParams, "axis must be an integer in -2..1, got True"),
+    (lambda: SymmetricMatrix.identity(0), BadArgument, "n must be an integer >= 1, got 0"),
+    (lambda: elementary_symmetric(3, [1.0, 2.0]), BadArgument,
+     "k must be an integer in 1..2, got 3"),
+    (lambda: gamma_k_member(_I2, 3), BadArgument, "k must be an integer in 1..2, got 3"),
+    (lambda: loewner_leq(_Z2, _I2, -1e-9), BadArgument, "tol must be finite and >= 0, got -1e-09"),
+    (lambda: gamma_k_member(_I2, 1, -1e-9), BadArgument,
+     "tol must be finite and >= 0, got -1e-09"),
+    (lambda: matrix_from_json_obj({"dim": 0, "rows": []}), InvalidMatrix,
+     "dim must be an integer >= 1, got 0"),
+    (lambda: SampleConfig(seed=2**64), BadArgument,
+     "seed must be an integer in 0..18446744073709551615, got 18446744073709551616"),
+    (lambda: counterexample("k_hessian", dim=3, k=4), BadParams,
+     "k must be an integer in 2..3, got 4"),
+    (lambda: witness_p_laplace(1.0, unit_jet(2)), NotInClassM,
+     "the p-Laplace operator has a witness pair iff 1 < p < inf, got p=1.0"),
+    *((lambda d=d: odd_root_monotone(d), BadParams, f"d must be an odd integer >= 3, got {d!r}")
+      for d in (1, 4, np.int64(4), 2.5, True, "3")),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED_IN_FULL,
+                         ids=[message for *_, message in REFUSED_IN_FULL])
+def test_refusals_name_the_range(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+# isinstance(..., int) and isinstance(..., (int, float)) as well as the numbers ABCs
+_NUMBER_TESTS = re.compile(r"numbers\.(Integral|Real)\b"
+                           r"|isinstance\([^()]*,\s*(int|\(int, float\))\)")
+
+
 def test_only_errors_py_decides_what_a_number_is():
-    """The rule lives in errors._integer and errors._real; no other module asks
-    numbers.Integral or numbers.Real for itself."""
-    asking = sorted(path.name for path in SRC.glob("*.py")
-                    if re.search(r"numbers\.(Integral|Real)\b", path.read_text()))
-    assert asking == ["errors.py"]
+    """The rule lives in errors.py; no other module tests a value's numeric type itself.
+    The one exception is cli.main, which reads SystemExit.code: argparse exits with an int
+    code or a message, which is no number a caller hands in."""
+    asking = sorted((path.name, match.group(0)) for path in SRC.glob("*.py")
+                    for match in _NUMBER_TESTS.finditer(path.read_text()))
+    assert {name for name, _ in asking} == {"errors.py", "cli.py"}
+    assert [test for name, test in asking if name == "cli.py"] == ["isinstance(code, int)"]

@@ -269,6 +269,15 @@ class TestBoundRoutes:
                 assert abs(r_thm.lower_X - r_cor.lower_X) <= 1e-8
                 assert abs(r_thm.lower_negY - r_cor.lower_negY) <= 1e-8
 
+    def test_corollary_zero_bound_is_positive_zero(self):
+        """Where lower_negY is zero, the theorem route's negated crossing is -0.0 and the
+        corollary route keeps the +0.0 of its difference formula."""
+        op, w, om = p_laplace(3.0), class_u_constant(3.0), unit_jet(2)
+        eye = SymmetricMatrix.identity(2)
+        g1, g2 = class_u_to_class_m(op, w, om)
+        assert repr(theorem_lower_bounds(g1, g2, eye, eye).lower_negY) == "-0.0"
+        assert repr(corollary_bounds(op, w, om, om, eye, eye).lower_negY) == "0.0"
+
     def test_p_laplace_bound_values(self):
         alpha = 1.75
         for n in (2, 3):
