@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteValue,
     NotInClassM,
     ToolkitError,
-    _is_number,
+    _array,
 )
 from .falsify import (
     _COUNTEREXAMPLES,
@@ -88,15 +88,8 @@ def _parse_matrix(text: str) -> SymmetricMatrix:
     return matrix_from_json_obj(json.loads(text))
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    obj = json.loads(text)
-    if not isinstance(obj, list) or not all(map(_is_number, obj)):
-        raise BadParams(f"expected a JSON list of numbers, got {text!r}")
-    return np.asarray(obj, dtype=float)
-
-
 def _default_jets(dim: int, nu_text: str | None):
-    nu = _parse_vector(nu_text) if nu_text else unit_jet(dim).nu
+    nu = _array("nu", json.loads(nu_text), 1) if nu_text else unit_jet(dim).nu
     if nu.shape != (dim,):
         raise BadParams(f"nu must have length {dim}")
     omega = JetPoint(np.zeros(dim), 0.0, nu)

@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit, the one rule for numeric parameters, and the
-rule for numbers read from JSON."""
+"""Exception types shared across the toolkit, the one rule for numeric parameters, the one
+rule for vector and matrix arguments, and the rule for numbers read from JSON."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -85,14 +87,47 @@ def _positive(name: str, value, error=BadParams) -> float:
     return _real(name, value, lambda v: 0.0 < v < math.inf, "finite and > 0", error)
 
 
-def _is_number(value) -> bool:
-    """A JSON number: not a boolean or a string, which Python would coerce."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _array(name: str, value, ndim: int, error=BadParams) -> np.ndarray:
+    """``value`` as a new float array with ``ndim`` nonempty axes and finite entries: a numpy
+    array of integers or floats, or sequences nested ``ndim`` deep of any real number but a
+    bool; else one line, ``error("{name} must be a nonempty vector ..., got ...")``."""
+    fast = type(value) is np.ndarray and value.dtype.kind in "fiu"
+    out = value.astype(float) if fast else _real_entries(value)
+    if isinstance(out, str):
+        got = out
+    elif out.ndim != ndim or not out.size:
+        got = f"shape {out.shape}"
+    else:
+        flat = out.ravel().tolist()
+        # a sum of floats is finite only if every term is; all() decides a sum that overflowed
+        if math.isfinite(sum(flat)) or all(map(math.isfinite, flat)):
+            return out
+        got = "a non-finite entry"
+    kind = "vector" if ndim == 1 else "matrix"
+    raise error(f"{name} must be a nonempty {kind} of finite real numbers, got {got}")
+
+
+def _real_entries(value):
+    """The entries of ``value`` as a float array when each is a real number but a bool, else
+    the text that says why not."""
+    try:
+        obj = np.array(value, dtype=object)
+    except ValueError:  # numpy arrays of different shapes side by side
+        return "ragged nesting"
+    for v in obj.flat:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            return f"a {type(v).__name__} entry"
+    try:
+        return obj.astype(float)
+    except OverflowError:  # an int past the float range
+        return "a non-finite entry"
 
 
 def _numbers_only(value) -> bool:
-    """A JSON number or a list of them nested to any depth."""
-    return all(map(_numbers_only, value)) if isinstance(value, list) else _is_number(value)
+    """A JSON number, not a boolean or a string, which Python would coerce, or a list of
+    them nested to any depth."""
+    return (all(map(_numbers_only, value)) if isinstance(value, list)
+            else isinstance(value, (int, float)) and not isinstance(value, bool))
 
 
 def _integer_field(name: str, value) -> int:

@@ -264,17 +264,17 @@ def _jet_draw(rng, n: int, scale: float) -> JetPoint:
 
 def _spike_low(n: int, c: float) -> SymmetricMatrix:
     """diag(1, 0, ..., 0, c)."""
-    return SymmetricMatrix.diagonal([1.0] + [0.0] * (n - 2) + [c])
+    return SymmetricMatrix._symmetric(np.diag([1.0] + [0.0] * (n - 2) + [c]))
 
 
 def _double_spike(n: int, m: float) -> SymmetricMatrix:
     """diag(-m, -m, 1, ..., 1)."""
-    return SymmetricMatrix.diagonal([-m, -m] + [1.0] * (n - 2))
+    return SymmetricMatrix._symmetric(np.diag([-m, -m] + [1.0] * (n - 2)))
 
 
 def _ones_tail(n: int, c: float) -> SymmetricMatrix:
     """diag(1, ..., 1, c)."""
-    return SymmetricMatrix.diagonal([1.0] * (n - 1) + [c])
+    return SymmetricMatrix._symmetric(np.diag([1.0] * (n - 1) + [c]))
 
 
 def _first_violation(kind: str, cfg: SampleConfig, details: dict, probes, stages):
@@ -372,7 +372,7 @@ def _class_u_probes(cfg: SampleConfig):
         c = 2.0 ** cexp
         for axis in axes:
             base = unit_jet(n, axis=axis)
-            omega = JetPoint(base.x, base.r, base.nu * c)
+            omega = JetPoint._of_finite(base.x, base.r, base.nu * c)
             for lexp in (0, 10, 20, 40):
                 ell = 2.0 ** lexp
                 shapes = [SymmetricMatrix(ell * np.eye(n))]

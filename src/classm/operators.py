@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (BadParams, NonFiniteValue, OutOfDomain, ToolkitError, _integer,
+from .errors import (BadParams, NonFiniteValue, OutOfDomain, ToolkitError, _array, _integer,
                      _integer_field, _numbers_only, _positive, _real)
 from .symmat import (
     GAMMA_CONE_TOL,
@@ -47,7 +47,7 @@ class JetPoint:
     """The non-matrix slots omega = (x, r, nu) of an operator argument.
 
     ``x`` is the base point, ``r`` the solution-value slot, ``nu`` the
-    gradient slot; x and nu live in the same R^N.
+    gradient slot; x and nu live in the same R^N. A number counts as a 1-vector.
     """
 
     x: np.ndarray
@@ -55,14 +55,11 @@ class JetPoint:
     nu: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float, ndmin=1)
-        nu = np.array(self.nu, dtype=float, ndmin=1)
-        if x.ndim != 1 or nu.ndim != 1 or x.shape != nu.shape:
+        x = _array("x", [self.x] if np.isscalar(self.x) else self.x, 1)
+        nu = _array("nu", [self.nu] if np.isscalar(self.nu) else self.nu, 1)
+        if x.shape != nu.shape:
             raise BadParams(f"x and nu must be vectors of equal length, got {x.shape} and {nu.shape}")
-        r = _real("r", self.r, math.isfinite, "finite")
-        if not all(map(math.isfinite, x.tolist() + nu.tolist())):
-            raise BadParams("jet point components must be finite")
-        self._store(x, r, nu)
+        self._store(x, _real("r", self.r, math.isfinite, "finite"), nu)
 
     def _store(self, x: np.ndarray, r: float, nu: np.ndarray) -> "JetPoint":
         norm = math.hypot(*nu.tolist())
@@ -88,7 +85,7 @@ def unit_jet(dim: int, axis: int = 0) -> JetPoint:
     dim = _integer("dim", dim, 1)
     nu = np.zeros(dim)
     nu[_integer("axis", axis, -dim, hi=dim - 1)] = 1.0
-    return JetPoint(np.zeros(dim), 0.0, nu)
+    return JetPoint._of_finite(np.zeros(dim), 0.0, nu)
 
 
 @dataclass(frozen=True)
@@ -203,8 +200,8 @@ def _jsonable(value, tag: Optional[str] = None):
 
 def _psd_sample(value) -> SymmetricMatrix:
     """A value of sigma as a matrix; BadParams unless it is square and positive semi-definite."""
-    arr = value.entries if isinstance(value, SymmetricMatrix) else np.asarray(value, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    arr = value.entries if isinstance(value, SymmetricMatrix) else _array("sigma", value, 2)
+    if arr.shape[0] != arr.shape[1]:
         raise BadParams(f"sigma must be a square matrix, got shape {arr.shape}")
     mat = SymmetricMatrix(arr)
     if not _lambda1_at_least(mat, -1e-9):
@@ -227,16 +224,15 @@ def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescript
     """Uniformly elliptic linear operator with a(x) = sigma(x) + theta I.
 
     ``sigma``, ``b`` and ``c`` may be constants (matrix, vector, scalar) or
-    pure callbacks of x; omitted coefficients default to zero. Constant sigma
-    is PSD-checked up front, callback sigma at every evaluation.
+    pure callbacks of x; omitted coefficients default to zero. A constant is
+    checked when the operator is built (sigma square and PSD, b a vector, c
+    finite), a callback's value at every evaluation, where b must match nu.
     """
     theta = _positive("theta", theta)
 
     sigma_at = _of_x(sigma, _psd_sample)
-    b_at = _of_x(b, lambda v: np.asarray(v, dtype=float))
-    if c is not None and not callable(c):
-        c = _real("c", c, math.isfinite, "finite")
-    c_at = _of_x(c, float)
+    b_at = _of_x(b, lambda v: _array("b", v, 1))
+    c_at = _of_x(c, lambda v: _real("c", v, math.isfinite, "finite"))
 
     def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
         a = theta * np.eye(x_mat.dim)
@@ -247,7 +243,10 @@ def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescript
             a = a + s.entries
         val = -float(np.trace(a @ x_mat.entries))
         if b_at is not None:
-            val += float(np.dot(b_at(w.x), w.nu))
+            b_x = b_at(w.x)
+            if b_x.shape != w.nu.shape:
+                raise BadParams(f"b(x) has length {b_x.shape[0]}, nu has length {w.dim}")
+            val += float(np.dot(b_x, w.nu))
         if c_at is not None:
             val += c_at(w.x) * w.r
         return val

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (BadArgument, BadParams, DimMismatch, NonConvergent, SlackTooLarge,
-                     ToolkitError, _integer, _positive, _real)
+                     ToolkitError, _array, _integer, _positive, _real)
 from .falsify import Certificate, PassReport
 from .operators import JetPoint, OperatorDescriptor, _jsonable
 from .symmat import (
@@ -67,9 +67,9 @@ class TestFunction:
     def __post_init__(self):
         alpha = _positive("alpha", self.alpha)
         dim = _integer("dim", self.dim, 1)
-        # a given anchor is copied, since it is frozen below; x_hat = e1 / alpha, y_hat = 0
-        x_hat = np.eye(1, dim)[0] / alpha if self.x_hat is None else np.array(self.x_hat, float)
-        y_hat = np.zeros(dim) if self.y_hat is None else np.array(self.y_hat, float)
+        # a given anchor is read as a new array, since it is frozen below; x_hat = e1 / alpha
+        x_hat = np.eye(1, dim)[0] / alpha if self.x_hat is None else _array("x_hat", self.x_hat, 1)
+        y_hat = np.zeros(dim) if self.y_hat is None else _array("y_hat", self.y_hat, 1)
         if x_hat.shape != (dim,) or y_hat.shape != (dim,):
             raise BadParams(f"anchors must be vectors of length {dim}")
         x_hat.setflags(write=False)

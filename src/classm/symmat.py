@@ -34,8 +34,8 @@ import sys
 
 import numpy as np
 
-from .errors import (BadArgument, DimMismatch, InvalidMatrix, ToolkitError, _integer,
-                     _is_number, _real)
+from .errors import (BadArgument, DimMismatch, InvalidMatrix, ToolkitError, _array, _integer,
+                     _real)
 
 # Construction rejects inputs whose raw asymmetry exceeds this fraction of
 # the largest entry; below the threshold we silently symmetrize.
@@ -136,15 +136,13 @@ class SymmetricMatrix:
     __slots__ = ("dim", "entries", "asymmetry", "_evals", "_spectrum", "_negation")
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise InvalidMatrix(f"expected a nonempty square matrix, got shape {arr.shape}")
-        rows = arr.tolist()
-        if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
-            raise InvalidMatrix("matrix entries must be finite")
+        arr = _array("entries", entries, 2, InvalidMatrix)
+        if arr.shape[0] != arr.shape[1]:
+            raise InvalidMatrix(f"entries must be a square matrix, got shape {arr.shape}")
         if arr.tobytes() == arr.T.tobytes():  # bit-identical mirrors: (a + a) / 2 == a
-            asym, sym = 0.0, arr.copy()
+            asym, sym = 0.0, arr
         else:
+            rows = arr.tolist()
             asym = max(abs(u - v) for row, col in zip(rows, zip(*rows)) for u, v in zip(row, col))
             scale = max(map(abs, itertools.chain.from_iterable(rows)))
             if asym > ASYMMETRY_REL_TOL * scale:
@@ -182,7 +180,7 @@ class SymmetricMatrix:
 
     @classmethod
     def diagonal(cls, values) -> "SymmetricMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
+        return cls._symmetric(np.diag(_array("values", values, 1, InvalidMatrix)))
 
     def scaled(self, factor: float) -> "SymmetricMatrix":
         return SymmetricMatrix(self.entries * _real("factor", factor, math.isfinite, "finite",
@@ -508,14 +506,11 @@ class BlockMatrix2N:
     __slots__ = ("E", "B", "D", "_assembled", "_square")
 
     def __init__(self, e: SymmetricMatrix, b, d: SymmetricMatrix):
-        barr = np.asarray(b, dtype=float)
+        barr = _array("B", b, 2, InvalidMatrix)
         if e.dim != d.dim:
             raise DimMismatch(f"E is {e.dim}x{e.dim} but D is {d.dim}x{d.dim}")
         if barr.shape != (e.dim, e.dim):
             raise DimMismatch(f"B must be {e.dim}x{e.dim}, got shape {barr.shape}")
-        if not np.all(np.isfinite(barr)):
-            raise InvalidMatrix("B entries must be finite")
-        barr = barr.copy()
         barr.setflags(write=False)
         self.E = e
         self.B = barr
@@ -576,30 +571,15 @@ def format_matrix_text(x: SymmetricMatrix) -> str:
 
 
 def parse_matrix_text(text: str) -> SymmetricMatrix:
+    """The text format read as the JSON one: the first line is the dim, the rest the rows."""
     tokens_by_line = [line.split() for line in text.splitlines() if line.strip()]
-    if not tokens_by_line:
-        raise InvalidMatrix("empty matrix text")
-    head = tokens_by_line[0]
-    if len(head) != 1:
-        raise InvalidMatrix(f"first line must be the dimension alone, got {head!r}")
+    if not tokens_by_line or len(tokens_by_line[0]) != 1:
+        raise InvalidMatrix("the first line of matrix text must be the dimension alone")
     try:
-        n = int(head[0])
+        n, rows = int(tokens_by_line[0][0]), [list(map(float, row)) for row in tokens_by_line[1:]]
     except ValueError as exc:
-        raise InvalidMatrix(f"bad dimension {head[0]!r}") from exc
-    if n < 1:
-        raise InvalidMatrix(f"dimension must be positive, got {n}")
-    rows = tokens_by_line[1:]
-    if len(rows) != n:
-        raise InvalidMatrix(f"expected {n} rows, got {len(rows)}")
-    data = []
-    for row in rows:
-        if len(row) != n:
-            raise InvalidMatrix(f"expected {n} entries per row, got {len(row)}")
-        try:
-            data.append([float(tok) for tok in row])
-        except ValueError as exc:
-            raise InvalidMatrix(f"bad entry in row {row!r}") from exc
-    return SymmetricMatrix(np.array(data))
+        raise InvalidMatrix(f"bad matrix text: {exc}") from exc
+    return matrix_from_json_obj({"dim": n, "rows": rows})
 
 
 def matrix_to_json_obj(x: SymmetricMatrix) -> dict:
@@ -609,8 +589,8 @@ def matrix_to_json_obj(x: SymmetricMatrix) -> dict:
 def matrix_from_json_obj(obj) -> SymmetricMatrix:
     if not isinstance(obj, dict) or set(obj.keys()) != {"dim", "rows"}:
         raise InvalidMatrix(f"matrix JSON must have exactly the keys dim and rows, got {obj!r}")
-    n, rows = _integer("dim", obj["dim"], 1, InvalidMatrix), obj["rows"]
-    if not (isinstance(rows, list) and len(rows) == n and all(
-            isinstance(row, list) and len(row) == n and all(map(_is_number, row)) for row in rows)):
-        raise InvalidMatrix(f"rows must be an {n}x{n} nested list of numbers")
-    return SymmetricMatrix(np.array(rows, dtype=float))
+    n = _integer("dim", obj["dim"], 1, InvalidMatrix)
+    rows = _array("rows", obj["rows"], 2, InvalidMatrix)
+    if rows.shape != (n, n):
+        raise InvalidMatrix(f"rows must be {n}x{n}, got shape {rows.shape}")
+    return SymmetricMatrix(rows)

@@ -183,6 +183,9 @@ class TestExitCodes:
           for c in ("--c=nan", "--c=-inf")),
         ["check-ellipticity", "--op", THETA_1E400, "--dim", "2"],
         ["bounds", "--op", THETA_1E400, "--E", EYE2, "--D", EYE2],
+        # a constant b of the wrong length for nu, or not a vector
+        *(["check-ellipticity", "--op", f'{{"family":"linear_uniform","theta":1,"b":{b}}}',
+           "--dim", "2", "--trials", "5"] for b in ("[1,2,3]", "[[1,2],[3,4]]")),
         # a flag that the named construction does not take
         ["counterexample", "--name", "inf_laplace", "--k", "3"],
         ["counterexample", "--name", "bounded_h", "--c", "-5"],

@@ -1,9 +1,12 @@
-"""One rule for numeric parameters, checked at every public entry point that takes one.
+"""One rule for numeric parameters and one for vector and matrix arguments, checked at
+every public entry point that takes one.
 
 An integer parameter is any integer but a bool, numpy's included; a real one is any
-real number but a bool that is finite as a float. A refused value raises the entry's
-documented error class with "<name> must" in its message, and a numpy number builds
-exactly what the Python number of the same value builds.
+real number but a bool that is finite as a float. A vector or matrix argument is a numpy
+array of integers or floats, or nested sequences of real numbers but bools, finite and
+nonempty. A refused value raises the entry's documented error class with "<name> must"
+in its message, and a numpy number or array builds exactly what the Python value of the
+same numbers builds.
 """
 
 import json
@@ -24,6 +27,7 @@ from classm import (
     NotInClassM,
     SampleConfig,
     SymmetricMatrix,
+    block_compose,
     class_u_constant,
     counterexample,
     elementary_symmetric,
@@ -44,6 +48,7 @@ from classm import (
     verify_eq1,
     witness_p_laplace,
 )
+from classm import cli
 from classm.operators import _jsonable
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "classm"
@@ -144,6 +149,9 @@ ENTRIES = [
     ("unit_jet", "axis", "axis", BadParams, lambda v: unit_jet(2, axis=v), (1, -2)),
     ("linear_uniform", "c", "c", BadParams,
      lambda v: linear_uniform(1.0, c=v).evaluate(_JET1, SymmetricMatrix.zero(1)), (2, -0.5)),
+    ("linear_uniform callback", "c", "c", BadParams,
+     lambda v: linear_uniform(1.0, c=lambda x: v).evaluate(_JET1, SymmetricMatrix.zero(1)),
+     (2, -0.5)),
     ("witness_p_laplace", "p", "p", BadParams,
      lambda v: witness_p_laplace(v, unit_jet(2)), (4, 1.5)),
     ("ClassMWitness.evaluate", "t", "t", BadArgument, lambda v: _G1.evaluate(v, _I2), (2, -0.5)),
@@ -205,6 +213,8 @@ REFUSED_IN_FULL = [
      "seed must be an integer in 0..18446744073709551615, got 18446744073709551616"),
     (lambda: counterexample("k_hessian", dim=3, k=4), BadParams,
      "k must be an integer in 2..3, got 4"),
+    (lambda: linear_uniform(1.0, b=[1.0, 2.0, 3.0]).evaluate(unit_jet(2), _I2), BadParams,
+     "b(x) has length 3, nu has length 2"),
     (lambda: witness_p_laplace(1.0, unit_jet(2)), NotInClassM,
      "the p-Laplace operator has a witness pair iff 1 < p < inf, got p=1.0"),
     *((lambda d=d: odd_root_monotone(d), BadParams, f"d must be an odd integer >= 3, got {d!r}")
@@ -220,16 +230,104 @@ def test_refusals_name_the_range(call, error, message):
     assert (type(info.value), str(info.value)) == (error, message)
 
 
+_JET2 = JetPoint([0.0, 0.0], 0.0, [1.0, 0.5])
+_X2 = SymmetricMatrix([[1.0, 0.25], [0.25, 2.0]])
+
+
+# (entry point, argument, name in the message, error class, ndim, call with the value and
+#  return what it built, JSON only: a value that must pass through json.dumps)
+ARRAYS = [
+    ("SymmetricMatrix", "entries", "entries", InvalidMatrix, 2,
+     lambda v: SymmetricMatrix(v).entries, False),
+    ("SymmetricMatrix.diagonal", "values", "values", InvalidMatrix, 1,
+     lambda v: SymmetricMatrix.diagonal(v).entries, False),
+    ("block_compose", "b", "B", InvalidMatrix, 2, lambda v: block_compose(_I2, v, _I2).B, False),
+    ("matrix_from_json_obj", "rows", "rows", InvalidMatrix, 2,
+     lambda v: matrix_from_json_obj({"dim": 2, "rows": v}).entries, False),
+    ("JetPoint", "x", "x", BadParams, 1, lambda v: JetPoint(v, 0.0, [1.0, 0.0]).x, False),
+    ("JetPoint", "nu", "nu", BadParams, 1, lambda v: JetPoint([0.0, 0.0], 0.0, v).nu, False),
+    ("linear_uniform", "sigma", "sigma", BadParams, 2,
+     lambda v: linear_uniform(1.0, sigma=v).evaluate(_JET2, _X2), False),
+    ("linear_uniform", "b", "b", BadParams, 1,
+     lambda v: linear_uniform(1.0, b=v).evaluate(_JET2, _X2), False),
+    ("linear_uniform", "b callback", "b", BadParams, 1,
+     lambda v: linear_uniform(1.0, b=lambda x: v).evaluate(_JET2, _X2), False),
+    ("quadratic_doubling", "x_hat", "x_hat", BadParams, 1,
+     lambda v: quadratic_doubling(1.0, 2, x_hat=v).x_hat, False),
+    ("quadratic_doubling", "y_hat", "y_hat", BadParams, 1,
+     lambda v: quadratic_doubling(1.0, 2, y_hat=v).y_hat, False),
+    ("classm --nu", "nu", "nu", BadParams, 1,
+     lambda v: cli._default_jets(2, json.dumps(v))[0].nu, True),
+]
+
+_ARRAY_IDS = [f"{entry}.{arg}" for entry, arg, *_ in ARRAYS]
+_ACCEPTED_ARRAY = {1: [3.0, -1.0], 2: [[2.0, -1.0], [-1.0, 3.0]]}
+
+
+def _refused_arrays(ndim: int, json_only: bool) -> list:
+    """Each refused value: an entry that is no finite real number but a bool in the first
+    place, ragged nesting, the other ndim, and an empty array. None is refused as an entry;
+    as the whole value, sigma, b and the anchors read it as "not given"."""
+    def first(entry):
+        return [entry, 0.0] if ndim == 1 else [[entry, 0.0], [0.0, 1.0]]
+    entries = ["1", True, None, 10**400, math.nan, math.inf, -math.inf]
+    if not json_only:  # JSON has no complex numbers
+        entries += [1j]
+    ragged, other, empty = (([[1.0], 0.0], [[1.0, 0.0]], []) if ndim == 1
+                            else ([[1.0, 0.0], [0.0]], [1.0, 0.0], [[]]))
+    return [first(entry) for entry in entries] + [ragged, other, empty]
+
+
+@pytest.mark.parametrize("entry, arg, name, error, ndim, call, json_only", ARRAYS,
+                         ids=_ARRAY_IDS)
+def test_refuses_what_is_not_an_array_of_finite_reals(entry, arg, name, error, ndim, call,
+                                                      json_only):
+    for value in _refused_arrays(ndim, json_only):
+        with pytest.raises(error, match=f"^{re.escape(name)} must") as info:
+            call(value)
+        message = str(info.value)
+        assert type(info.value) is error, (value, message)
+        assert "\n" not in message and "[" not in message and "array(" not in message, message
+
+
+@pytest.mark.parametrize("entry, arg, name, error, ndim, call, json_only", ARRAYS,
+                         ids=_ARRAY_IDS)
+def test_numpy_arrays_build_what_float_lists_build(entry, arg, name, error, ndim, call,
+                                                   json_only):
+    floats = _ACCEPTED_ARRAY[ndim]
+    expected = np.asarray(call(floats))
+    same = [np.asarray(floats, dtype=int).tolist()]
+    if not json_only:
+        same += [np.asarray(floats), np.asarray(floats, dtype=np.int64),
+                 np.asarray(floats, dtype=np.float32), np.asarray(floats, dtype=object)]
+    for value in same:
+        built = np.asarray(call(value))
+        assert (built.dtype, built.tobytes()) == (expected.dtype, expected.tobytes()), value
+
+
 # isinstance(..., int) and isinstance(..., (int, float)) as well as the numbers ABCs
 _NUMBER_TESTS = re.compile(r"numbers\.(Integral|Real)\b"
                            r"|isinstance\([^()]*,\s*(int|\(int, float\))\)")
+# np.asarray(..., dtype=float) and np.array(..., float), on one line
+_ARRAY_CONVERSIONS = re.compile(r"np\.(asarray|array)\(.*\bfloat.*")
 
 
 def test_only_errors_py_decides_what_a_number_is():
-    """The rule lives in errors.py; no other module tests a value's numeric type itself.
-    The one exception is cli.main, which reads SystemExit.code: argparse exits with an int
-    code or a message, which is no number a caller hands in."""
+    """The rules live in errors.py; no other module tests a value's numeric type or turns a
+    value into a float array itself. The exceptions are cli.main, which reads
+    SystemExit.code (argparse exits with an int code or a message, which is no number a
+    caller hands in), and ``Spectrum`` and ``SymmetricMatrix.eigenvalues``, which hold the
+    Jacobi eigensolver's own output, no value a caller hands in: past the float range it
+    may be +-inf."""
     asking = sorted((path.name, match.group(0)) for path in SRC.glob("*.py")
                     for match in _NUMBER_TESTS.finditer(path.read_text()))
     assert {name for name, _ in asking} == {"errors.py", "cli.py"}
     assert [test for name, test in asking if name == "cli.py"] == ["isinstance(code, int)"]
+    converting = sorted((path.name, match.group(0)) for path in SRC.glob("*.py")
+                        if path.name != "errors.py"
+                        for match in _ARRAY_CONVERSIONS.finditer(path.read_text()))
+    assert converting == [
+        ("symmat.py", "np.array(eigenvalues, dtype=float)"),
+        ("symmat.py", "np.array(eigenvectors, dtype=float)"),
+        ("symmat.py", "np.array(sorted(diag), dtype=float)"),
+    ]

@@ -63,10 +63,11 @@ class TestConstruction:
             m.entries[0, 0] = 5.0
 
     def test_entries_are_copied(self):
-        raw = np.eye(2)
+        raw, b = np.eye(2), np.zeros((2, 2))
         m = SymmetricMatrix(raw)
-        raw[0, 0] = 5.0
-        assert m.entries[0, 0] == 1.0
+        blocks = block_compose(m, b, m)
+        raw[0, 0] = b[0, 0] = 5.0
+        assert m.entries[0, 0] == 1.0 and blocks.B[0, 0] == 0.0
 
     def test_huge_entries_do_not_overflow(self):
         with warnings.catch_warnings():
