@@ -266,16 +266,19 @@ _ACCEPTED_ARRAY = {1: [3.0, -1.0], 2: [[2.0, -1.0], [-1.0, 3.0]]}
 
 def _refused_arrays(ndim: int, json_only: bool) -> list:
     """Each refused value: an entry that is no finite real number but a bool in the first
-    place, ragged nesting, the other ndim, and an empty array. None is refused as an entry;
-    as the whole value, sigma, b and the anchors read it as "not given"."""
+    place, a string, ragged nesting, the other ndim, an empty array, and numpy arrays of
+    bools or complex numbers. None is refused as an entry; as the whole value, sigma, b and
+    the anchors read it as "not given"."""
     def first(entry):
         return [entry, 0.0] if ndim == 1 else [[entry, 0.0], [0.0, 1.0]]
     entries = ["1", True, None, 10**400, math.nan, math.inf, -math.inf]
-    if not json_only:  # JSON has no complex numbers
-        entries += [1j]
     ragged, other, empty = (([[1.0], 0.0], [[1.0, 0.0]], []) if ndim == 1
                             else ([[1.0, 0.0], [0.0]], [1.0, 0.0], [[]]))
-    return [first(entry) for entry in entries] + [ragged, other, empty]
+    refused = [first(entry) for entry in entries] + ["ab", ragged, other, empty]
+    if not json_only:  # JSON has no complex numbers and no numpy arrays
+        refused += [first(1j), np.ones(np.shape(first(0.0)), dtype=bool),
+                    np.ones(np.shape(first(0.0)), dtype=complex)]
+    return refused
 
 
 @pytest.mark.parametrize("entry, arg, name, error, ndim, call, json_only", ARRAYS,
