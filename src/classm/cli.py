@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     BadArgument,
     BadParams,
-    DimMismatch,
     InvalidMatrix,
     NonFiniteValue,
     NotInClassM,
@@ -136,16 +135,15 @@ def _emit_human(obj: dict) -> None:
               f"implications_ok={rep['details']['implications_ok']}")
 
 
-def _finish(obj: dict, outcome: str, args) -> int:
-    """outcome is 'pass' or 'violation'; exit 0 iff it matches --expect."""
-    _emit(obj, args)
-    return 0 if (outcome == "pass") == (args.expect == "pass") else 1
-
-
-def _finish_certificate(cert: Certificate, args) -> int:
-    """Re-check a certificate's margin, then report it as a violation."""
-    cert.reverify()
-    return _finish(cert.to_json_obj(), "violation", args)
+def _finish(result, args, ok: bool = True) -> int:
+    """Print a PassReport, Certificate, BoundReport or report dict and exit 0 iff its outcome
+    matches --expect. A certificate is a violation, printed only after its reverify(); a
+    dict's outcome is ``ok``."""
+    if isinstance(result, Certificate):
+        result.reverify()
+        ok = False
+    _emit(result if isinstance(result, dict) else result.to_json_obj(), args)
+    return 0 if ok == (args.expect == "pass") else 1
 
 
 def _add_common(sub, default_expect: str = "pass"):
@@ -177,15 +175,18 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("catalog", help="list operator families and their JSON fields")
+    s.set_defaults(run=_cmd_catalog, expect="pass")
     s.add_argument("--json", action="store_true")
     s.add_argument("--output", help="also write the JSON report to this path")
 
     s = subs.add_parser("check-ellipticity", help="sample X <= Y and test F(X) >= F(Y)")
+    s.set_defaults(run=_cmd_check_ellipticity)
     s.add_argument("--op", required=True, help="operator spec JSON")
     _add_sampling(s)
     _add_common(s)
 
     s = subs.add_parser("check-class-u", help="sample the uniform-ellipticity gap")
+    s.set_defaults(run=_cmd_check_class_u)
     s.add_argument("--op", required=True)
     s.add_argument("--lam", type=float, default=1.0, help="gap slope lambda > 0")
     s.add_argument("--hconst", type=float, default=0.0, help="constant H(omega)")
@@ -194,6 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("check-class-m",
                         help="check witness conditions 1-4 with the canonical witness pair")
+    s.set_defaults(run=_cmd_check_class_m)
     s.add_argument("--op", required=True)
     s.add_argument("--lam", type=float, default=None,
                    help="embed a (lam, hconst) Class U witness instead of the family default")
@@ -204,6 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(s)
 
     s = subs.add_parser("bounds", help="lower bounds from witness or Class U route")
+    s.set_defaults(run=_cmd_bounds)
     s.add_argument("--op", required=True)
     s.add_argument("--E", required=True, help="matrix JSON or @path (text/JSON formats)")
     s.add_argument("--D", required=True, help="matrix JSON or @path")
@@ -215,6 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("counterexample", help="reproduce a named construction",
                         description="--d-root D_ROOT is the odd root exponent d of power_not_u")
+    s.set_defaults(run=_cmd_counterexample)
     s.add_argument("--name", required=True, choices=_COUNTEREXAMPLES)
     for flag, (dest, kind) in _CERT_FLAGS.items():
         s.add_argument(flag, type=kind, dest=dest, metavar=flag[2:].upper().replace("-", "_"))
@@ -222,6 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("sums-demo",
                         help="run the full pipeline on the quadratic doubling family")
+    s.set_defaults(run=_cmd_sums_demo)
     s.add_argument("--alpha", type=float, default=1.0)
     s.add_argument("--dim", type=int, required=True)
     s.add_argument("--op", required=True)
@@ -253,9 +258,11 @@ def _fallback_certificate(op: OperatorDescriptor, dim: int) -> Certificate:
 def _finish_check(args, check, *operands) -> int:
     """Run a seeded checker on the sampling arguments and report its outcome."""
     cfg = SampleConfig(seed=args.seed, trials=args.trials, scale=args.scale, dim=args.dim)
-    result = check(*operands, cfg)
-    outcome = "pass" if isinstance(result, PassReport) else "violation"
-    return _finish(result.to_json_obj(), outcome, args)
+    return _finish(check(*operands, cfg), args)
+
+
+def _cmd_catalog(args) -> int:
+    return _finish({"type": "catalog", "families": catalog()}, args)
 
 
 def _cmd_check_ellipticity(args) -> int:
@@ -273,7 +280,7 @@ def _cmd_check_class_m(args) -> int:
     try:
         g1, g2 = auto_witness_pair(op, omega_x, omega_y, lam=args.lam, h_const=args.hconst)
     except NotInClassM:
-        return _finish_certificate(_fallback_certificate(op, args.dim), args)
+        return _finish(_fallback_certificate(op, args.dim), args)
     return _finish_check(args, check_class_m, op, g1, g2)
 
 
@@ -281,8 +288,6 @@ def _cmd_bounds(args) -> int:
     op = _parse_operator(args.op)
     e = _parse_matrix(args.E)
     d = _parse_matrix(args.D)
-    if d.dim != e.dim:
-        raise DimMismatch(f"--E is {e.dim}x{e.dim} but --D is {d.dim}x{d.dim}")
     omega_x, omega_y = _default_jets(e.dim, args.nu)
     if args.route == "corollary":
         lam = _default_lam(op) if args.lam is None else args.lam
@@ -293,7 +298,7 @@ def _cmd_bounds(args) -> int:
     else:
         g1, g2 = auto_witness_pair(op, omega_x, omega_y, lam=args.lam, h_const=args.hconst)
         report = theorem_lower_bounds(g1, g2, e, d)
-    return _finish(report.to_json_obj(), "pass", args)
+    return _finish(report, args)
 
 
 def _cmd_counterexample(args) -> int:
@@ -303,7 +308,7 @@ def _cmd_counterexample(args) -> int:
         if given[dest] is not None and dest not in params:
             raise BadArgument(f"{flag} does not apply to counterexample {args.name}")
     cert = counterexample(args.name, **{k: v for k, v in given.items() if v is not None})
-    return _finish_certificate(cert, args)
+    return _finish(cert, args)
 
 
 def _cmd_sums_demo(args) -> int:
@@ -341,29 +346,16 @@ def _cmd_sums_demo(args) -> int:
         "uniform_upper_bound": lemma.to_json_obj(),
         "report": report.to_json_obj(),
     }
-    return _finish(trace, "pass" if ok else "violation", args)
+    return _finish(trace, args, ok)
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if getattr(args, "dim", None) is not None and not 1 <= args.dim <= 16:
         raise BadArgument(f"--dim must be in 1..16, got {args.dim}")
     if getattr(args, "terms", 0) > 10_000:
         raise BadArgument(f"--terms must be <= 10000, got {args.terms}")
-    if args.command == "catalog":
-        obj = {"type": "catalog", "families": catalog()}
-        _emit(obj, args)
-        return 0
-    handlers = {
-        "check-ellipticity": _cmd_check_ellipticity,
-        "check-class-u": _cmd_check_class_u,
-        "check-class-m": _cmd_check_class_m,
-        "bounds": _cmd_bounds,
-        "counterexample": _cmd_counterexample,
-        "sums-demo": _cmd_sums_demo,
-    }
-    return handlers[args.command](args)
+    return args.run(args)
 
 
 def main(argv=None) -> int:

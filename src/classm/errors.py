@@ -87,6 +87,16 @@ def _positive(name: str, value, error=BadParams) -> float:
     return _real(name, value, lambda v: 0.0 < v < math.inf, "finite and > 0", error)
 
 
+def _exact_reals(name: str, values, error=BadArgument) -> list:
+    """The entries of ``values`` as a list, kept as given: each an integer but a bool, exact at
+    any size, or a real number that ``_real`` finds finite; else ``error("{name} must ...")``."""
+    vals = list(values)
+    for v in vals:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            _real(name, v, math.isfinite, "finite real numbers", error)
+    return vals
+
+
 def _array(name: str, value, ndim: int, error=BadParams) -> np.ndarray:
     """``value`` as a new float array with ``ndim`` nonempty axes and finite entries: a numpy
     array of integers or floats, or sequences nested ``ndim`` deep of any real number but a

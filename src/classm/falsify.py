@@ -32,8 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BadArgument, BadParams, SamplingExhausted, ToolkitError, _integer,
-                     _positive, _real)
+from .errors import (BadArgument, BadParams, NonFiniteValue, SamplingExhausted, ToolkitError,
+                     _integer, _positive, _real)
 from .operators import (
     JetPoint,
     MonotoneFunction,
@@ -388,9 +388,11 @@ def _class_u_probes(cfg: SampleConfig):
 def _class_u_sides(op: OperatorDescriptor, omega: JetPoint, b: SymmetricMatrix,
                    m: SymmetricMatrix, lam: float, h: float,
                    checked: bool = True) -> tuple[float, float]:
-    """F(omega, B) - F(omega, M) and the gap lam tr(M - B) + H that it must meet."""
-    return (op.evaluate(omega, b, checked=checked) - op.evaluate(omega, m, checked=checked),
-            lam * (m.trace() - b.trace()) + h)
+    """F(omega, B) - F(omega, M) and the gap lam tr(M - B) + H, refused when not finite."""
+    gap = lam * (m.trace() - b.trace()) + h
+    if not math.isfinite(gap):
+        raise NonFiniteValue(f"the Class U gap lam tr(M - B) + H of {op.name} overflowed")
+    return op.evaluate(omega, b, checked=checked) - op.evaluate(omega, m, checked=checked), gap
 
 
 def _class_u_certificate(op, omega, b, m, lam, h, sides, description, trial_index=None,
@@ -772,13 +774,12 @@ def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
 
 def _cert_bounded_h(dim: int = 3, h: MonotoneFunction | None = None) -> Certificate:
     dim = _integer("dim", dim, 1)
-    if h is None:
-        h = arctan_monotone()
+    op = eig_sum(arctan_monotone() if h is None else h)
+    h = op.params["h"]
     below = h.bounded_below is not None
     above = h.bounded_above is not None
     if not (below or above):
         raise BadParams(f"{h.name} is unbounded both ways; there is nothing to certify")
-    op = eig_sum(h)
     omega = unit_jet(dim)
     # Work on whichever side H saturates: -F_H(c I) = N H(c) stays on one
     # side of the floor/ceiling while the matching extreme eigenvalue c runs

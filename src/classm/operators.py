@@ -26,8 +26,8 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (BadParams, NonFiniteValue, OutOfDomain, ToolkitError, _array, _integer,
-                     _integer_field, _numbers_only, _positive, _real)
+from .errors import (BadParams, DimMismatch, NonFiniteValue, OutOfDomain, ToolkitError, _array,
+                     _integer, _integer_field, _numbers_only, _positive, _real)
 from .symmat import (
     GAMMA_CONE_TOL,
     SymmetricMatrix,
@@ -160,7 +160,9 @@ class OperatorDescriptor:
     raw_evaluate: Callable[[JetPoint, SymmetricMatrix], float] = field(repr=False)
 
     def evaluate(self, w: JetPoint, x: SymmetricMatrix, *, checked: bool = True) -> float:
-        """F(w, x); ``checked=False`` skips the domain check for a caller that made it."""
+        """F(w, x); ``checked=False`` skips the size and domain checks a caller has made."""
+        if checked and w.dim != x.dim:
+            raise DimMismatch(f"{self.name}: a jet point in R^{w.dim}, a {x.dim}x{x.dim} matrix")
         if checked and not self.in_domain(w, x):
             raise OutOfDomain(f"{self.name}: ({w!r}, matrix dim {x.dim}) is outside the domain")
         return _finite(self.name, self.raw_evaluate, w, x)

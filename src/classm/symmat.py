@@ -34,8 +34,8 @@ import sys
 
 import numpy as np
 
-from .errors import (BadArgument, DimMismatch, InvalidMatrix, ToolkitError, _array, _integer,
-                     _real)
+from .errors import (BadArgument, DimMismatch, InvalidMatrix, ToolkitError, _array, _exact_reals,
+                     _integer, _real)
 
 # Construction rejects inputs whose raw asymmetry exceeds this fraction of
 # the largest entry; below the threshold we silently symmetrize.
@@ -428,9 +428,9 @@ def elementary_symmetric(k: int, values) -> float:
     down), which performs only the additions the definition itself requires:
     it is exact for integer inputs and adds no cancellation beyond what the
     data forces. Python scalars are kept as given, so integer input stays in
-    exact integer arithmetic.
+    exact integer arithmetic; a bool, a non-number or a non-finite value is refused.
     """
-    vals = list(values)
+    vals = _exact_reals("values", values)
     return elementary_symmetric_prefix(vals, _integer("k", k, 1, BadArgument, len(vals)))[-1]
 
 

@@ -310,7 +310,9 @@ def auto_witness_pair(op: OperatorDescriptor, omega_x: JetPoint, omega_y: JetPoi
 def theorem_lower_bounds(g1: ClassMWitness, g2: ClassMWitness,
                          e: SymmetricMatrix, d: SymmetricMatrix) -> BoundReport:
     """Bounds from the witness route: g1(-, E)^{-1}(0) I <= X and
-    -[g2(-, D)^{-1}(0)] I <= -Y."""
+    -[g2(-, D)^{-1}(0)] I <= -Y; E and D must have one size."""
+    if d.dim != e.dim:
+        raise DimMismatch(f"E is {e.dim}x{e.dim} but D is {d.dim}x{d.dim}")
     lower_x = g1.inv_at_zero(e)
     lower_neg_y = -g2.inv_at_zero(d)
     return BoundReport(

@@ -413,6 +413,24 @@ class TestFallbackCertificates:
         assert err.startswith("internal error: certificate counterexample.inf_laplace failed "
                               "reverification") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("checker, argv", [
+        ("check_degenerate_ellipticity", ["check-ellipticity", "--op", LIN, "--dim", "2"]),
+        ("check_class_u", ["check-class-u", "--op", LIN, "--dim", "2"]),
+        ("check_class_m", ["check-class-m", "--op", P3, "--dim", "2"]),
+    ])
+    @pytest.mark.parametrize("expect", ["pass", "fail"])
+    def test_checker_certificate_is_reverified(self, capsys, monkeypatch, checker, argv, expect):
+        """A checker's violation goes out through the same re-check as a counterexample's."""
+        def tampered(*_operands):
+            cert = cli.counterexample("inf_laplace", dim=3)
+            return dataclasses.replace(cert, margin=cert.margin + 1.0)
+
+        monkeypatch.setattr(cli, checker, tampered)
+        code, out, err = run_cli(capsys, *argv, "--trials", "5", "--expect", expect)
+        assert (code, out) == (2, "")
+        assert err.startswith("internal error: certificate counterexample.inf_laplace failed "
+                              "reverification") and len(err.splitlines()) == 1
+
 
 class TestReports:
     def test_lam_embeds_class_u_witness_for_every_family(self, capsys):

@@ -217,6 +217,14 @@ class TestClassU:
         assert isinstance(cert, Certificate)
         cert.reverify()
 
+    def test_overflowing_gap_is_refused_where_it_is_computed(self):
+        """lam tr(M - B) + H past the float range is no violation: the checker refuses it
+        with NonFiniteValue rather than return a certificate whose reverify() fails."""
+        with pytest.raises(NonFiniteValue) as info:
+            check_class_u(p_laplace(3), class_u_constant(1e308),
+                          SampleConfig(seed=0, trials=1, dim=2))
+        assert str(info.value) == "the Class U gap lam tr(M - B) + H of p_laplace(p=3) overflowed"
+
     def test_too_large_lambda_fails_even_for_laplacian(self):
         cert = check_class_u(eig_sum(identity_monotone()), class_u_constant(3.0), small_cfg())
         assert isinstance(cert, Certificate)
@@ -449,6 +457,10 @@ class TestCounterexamples:
     def test_bounded_h_rejects_unbounded(self):
         with pytest.raises(BadParams):
             counterexample("bounded_h", dim=2, h=identity_monotone())
+
+    def test_bounded_h_refuses_what_is_no_monotone_function(self):
+        with pytest.raises(BadParams, match="^eig_sum expects a MonotoneFunction$"):
+            counterexample("bounded_h", h=3)
 
     def test_flat_divergence_blames_c_only_off_the_fixed_rungs(self):
         with pytest.raises(BadParams, match=r"^c = -1e\+300 "):  # (2 - 1e300) + 1e300 = 0

@@ -6,6 +6,7 @@ import pytest
 
 from classm import (
     BadParams,
+    DimMismatch,
     JetPoint,
     NonFiniteValue,
     OutOfDomain,
@@ -47,6 +48,19 @@ def all_catalog_instances():
         eig_sum(arctan_monotone()),
         sqrt_gradient(),
     ]
+
+
+@pytest.mark.parametrize("op", all_catalog_instances(), ids=lambda op: op.name)
+def test_jet_point_and_matrix_of_different_sizes_are_refused(op):
+    """The checked evaluate refuses sizes that differ before its domain test, in every family;
+    the unchecked path, which the checkers' trial loops take, adds no check."""
+    for jet_dim, mat_dim in ((3, 2), (2, 3)):
+        with pytest.raises(DimMismatch) as info:
+            op.evaluate(unit_jet(jet_dim), SymmetricMatrix.identity(mat_dim))
+        assert str(info.value) == (f"{op.name}: a jet point in R^{jet_dim}, "
+                                   f"a {mat_dim}x{mat_dim} matrix")
+    assert linear_uniform(1.0).evaluate(unit_jet(3), SymmetricMatrix.identity(2),
+                                        checked=False) == -2.0
 
 
 class TestFrozenValues:

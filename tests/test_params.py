@@ -203,6 +203,18 @@ REFUSED_IN_FULL = [
     (lambda: SymmetricMatrix.identity(0), BadArgument, "n must be an integer >= 1, got 0"),
     (lambda: elementary_symmetric(3, [1.0, 2.0]), BadArgument,
      "k must be an integer in 1..2, got 3"),
+    (lambda: elementary_symmetric(1, [True, 2.0]), BadArgument,
+     "values must be finite real numbers, got True"),
+    (lambda: elementary_symmetric(2, ["a", "b"]), BadArgument,
+     "values must be finite real numbers, got 'a'"),
+    (lambda: elementary_symmetric(1, [math.nan, 1.0]), BadArgument,
+     "values must be finite real numbers, got nan"),
+    (lambda: elementary_symmetric(1, [1.0, -math.inf]), BadArgument,
+     "values must be finite real numbers, got -inf"),
+    (lambda: elementary_symmetric(1, [1.0, None]), BadArgument,
+     "values must be finite real numbers, got None"),
+    (lambda: elementary_symmetric(1, [1j, 1.0]), BadArgument,
+     "values must be finite real numbers, got 1j"),
     (lambda: gamma_k_member(_I2, 3), BadArgument, "k must be an integer in 1..2, got 3"),
     (lambda: loewner_leq(_Z2, _I2, -1e-9), BadArgument, "tol must be finite and >= 0, got -1e-09"),
     (lambda: gamma_k_member(_I2, 1, -1e-9), BadArgument,
@@ -228,6 +240,12 @@ def test_refusals_name_the_range(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_elementary_symmetric_keeps_integers_exact_at_any_size():
+    big = 10**400  # past the float range, which a float value may not be
+    assert elementary_symmetric(2, [big, big + 1, 3]) == big * (big + 1) + 3 * (2 * big + 1)
+    assert elementary_symmetric(2, (np.int64(2), np.float64(0.5), 4)) == 11.0
 
 
 _JET2 = JetPoint([0.0, 0.0], 0.0, [1.0, 0.5])

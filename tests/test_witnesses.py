@@ -269,6 +269,18 @@ class TestBoundRoutes:
                 assert abs(r_thm.lower_X - r_cor.lower_X) <= 1e-8
                 assert abs(r_thm.lower_negY - r_cor.lower_negY) <= 1e-8
 
+    def test_e_and_d_of_different_sizes_are_refused(self):
+        """Both routes refuse an E and a D of different sizes by name; the corollary route
+        raised numpy's raw matmul ValueError before the rule moved into theorem_lower_bounds."""
+        e, d = SymmetricMatrix.identity(2), SymmetricMatrix.identity(3)
+        op, w, om = linear_uniform(1.0), class_u_constant(1.0), unit_jet(2)
+        for call in (lambda: corollary_bounds(op, w, om, om, e, d),
+                     lambda: theorem_lower_bounds(*class_u_to_class_m(op, w, om), e, d),
+                     lambda: theorem_lower_bounds(*witness_p_laplace(4.0, om), e, d)):
+            with pytest.raises(DimMismatch) as info:
+                call()
+            assert str(info.value) == "E is 2x2 but D is 3x3"
+
     def test_corollary_zero_bound_is_positive_zero(self):
         """Where lower_negY is zero, the theorem route's negated crossing is -0.0 and the
         corollary route keeps the +0.0 of its difference formula."""
