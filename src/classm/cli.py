@@ -327,6 +327,8 @@ def _cmd_sums_demo(args) -> int:
                      "lower_margin": lower, "upper_margin": upper})
 
     lemma = lemma_upper_bound(blocks, args.eps0, family)
+    if isinstance(lemma, Certificate):  # printed inside the trace, so re-checked here
+        lemma.reverify()
     limits = extract_limit(family)
     report = verify_conclusion(op, (g1, g2), tf, family, limits)
     ok = (isinstance(lemma, PassReport) and report.upper_block_ok

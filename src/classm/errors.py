@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, the one rule for numeric parameters, the one
-rule for vector and matrix arguments, and the rule for numbers read from JSON."""
+rule for vector and matrix arguments, and the reading of integral floats in JSON."""
 
 import math
 import numbers
@@ -133,15 +133,6 @@ def _real_entries(value):
         return "a non-finite entry"
 
 
-def _numbers_only(value) -> bool:
-    """A JSON number, not a boolean or a string, which Python would coerce, or a list of
-    them nested to any depth."""
-    return (all(map(_numbers_only, value)) if isinstance(value, list)
-            else isinstance(value, (int, float)) and not isinstance(value, bool))
-
-
-def _integer_field(name: str, value) -> int:
-    """An integer JSON field; a float counts only when it is integral, as 2.0 is."""
-    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise BadParams(f"field {name!r} must be an integer, got {value!r}")
+def _integer_field(value):
+    """An integral float such as 2.0 as that int, else the value as given, for its rule."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value

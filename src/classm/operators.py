@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Optional
 import numpy as np
 
 from .errors import (BadParams, DimMismatch, NonFiniteValue, OutOfDomain, ToolkitError, _array,
-                     _integer, _integer_field, _numbers_only, _positive, _real)
+                     _integer, _integer_field, _positive, _real)
 from .symmat import (
     GAMMA_CONE_TOL,
     SymmetricMatrix,
@@ -406,8 +406,8 @@ def operator_from_json(spec) -> OperatorDescriptor:
     """Build an operator from its JSON description.
 
     ``spec`` holds "family" and that family's fields, as `catalog()` lists
-    them. Every field but family and h holds numbers only: no booleans,
-    strings or null. k and d must be integral.
+    them. The constructors' rules decide each field, but 2.0 counts as the
+    integer k or d, and null is refused, for it is not an omitted field.
     """
     if not isinstance(spec, dict):
         raise BadParams(f"operator spec must be a JSON object, got {type(spec).__name__}")
@@ -416,13 +416,13 @@ def operator_from_json(spec) -> OperatorDescriptor:
     if family is None:
         raise BadParams("operator spec is missing the 'family' field")
     for name, value in spec.items():
-        if name != "h" and not _numbers_only(value):
-            raise BadParams(f"field {name!r} must hold numbers only, got {value!r}")
+        if value is None:
+            raise BadParams(f"field {name!r} must not be null")
     try:
         if family == "eig_sum":
             return _eig_sum_from_json(spec)
         if family == "k_hessian" and "k" in spec:
-            spec["k"] = _integer_field("k", spec["k"])
+            spec["k"] = _integer_field(spec["k"])
         return make_operator(family, **spec)
     except ToolkitError:
         raise
@@ -434,7 +434,7 @@ def _eig_sum_from_json(spec: dict) -> OperatorDescriptor:
     hname = spec.pop("h", None)
     if hname not in _MONOTONE_BY_NAME:
         raise BadParams(f"unknown monotone function {hname!r}; known: {sorted(_MONOTONE_BY_NAME)}")
-    return eig_sum(_MONOTONE_BY_NAME[hname](**{k: _integer_field(k, v) for k, v in spec.items()}))
+    return eig_sum(_MONOTONE_BY_NAME[hname](**{k: _integer_field(v) for k, v in spec.items()}))
 
 
 def catalog() -> list[dict]:

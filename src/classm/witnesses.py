@@ -16,13 +16,12 @@ Shipped witness families (all with closed-form inverse-at-zero):
 Every witness captures its jet point at construction; build a new witness to
 change omega. Witness objects are immutable and evaluation is pure.
 
-Note on signs: the embedding's g2 here is
-    g2(t, M) = lambda t + lambda lambda_1(M) + H(omega) - F(omega, -M),
-with a plus on lambda_1(M). That sign is forced by condition 4 (via
-tr Y + tr M >= lambda_N(Y) + lambda_1(M) for -M <= Y) and it is the version
-under which the direct corollary formulas below agree with
-theorem_lower_bounds exactly. Similarly the eigenvalue-sum g2 sums
-H(lambda_j(-M)) over j = 1..N-1, i.e. the N-1 smallest such values.
+Note on signs: condition 4 is condition 3 read on -M, so each pair builds
+g1 and g2 through one local side(which, s) at s = +1 and s = -1; as s = +-1
+multiplies exactly and x - (-y) = x + y, each side keeps the bits of its
+formula. The embedding's g2 has a plus on lambda_1(M), forced by condition 4
+(tr Y + tr M >= lambda_N(Y) + lambda_1(M) for -M <= Y); the eigenvalue-sum
+g2 sums H(lambda_j(-M)) over the N-1 smallest such values.
 """
 
 from __future__ import annotations
@@ -137,27 +136,21 @@ def class_u_to_class_m(op: OperatorDescriptor, w: ClassUWitness,
     lam = w.lam
     h_val = float(w.H(omega))
 
-    def g1_eval(t, m):
-        return lam * t - lam * float(m.eigenvalues()[0]) - h_val - op.evaluate(omega, m)
+    def side(which, s):
+        at = (lambda m: m) if s > 0 else (lambda m: m.negated())
 
-    def g1_inv(m):
-        return (h_val + op.evaluate(omega, m)) / lam + float(m.eigenvalues()[0])
+        def g_eval(t, m):
+            lam1 = float(m.eigenvalues()[0])
+            return lam * t - s * lam * lam1 - s * h_val - op.evaluate(omega, at(m))
 
-    def g2_eval(t, m):
-        return lam * t + lam * float(m.eigenvalues()[0]) + h_val - op.evaluate(omega, m.negated())
+        def g_inv(m):
+            return (s * h_val + op.evaluate(omega, at(m))) / lam + s * float(m.eigenvalues()[0])
 
-    def g2_inv(m):
-        return (op.evaluate(omega, m.negated()) - h_val) / lam - float(m.eigenvalues()[0])
+        return ClassMWitness(name=f"class_u_{which}[{op.name}]", which=which, eval_fn=g_eval,
+                             inv_at_zero_fn=g_inv, domain_S=lambda m: op.in_domain(omega, at(m)),
+                             context=omega)
 
-    g1 = ClassMWitness(
-        name=f"class_u_g1[{op.name}]", which="g1", eval_fn=g1_eval, inv_at_zero_fn=g1_inv,
-        domain_S=lambda m: op.in_domain(omega, m), context=omega,
-    )
-    g2 = ClassMWitness(
-        name=f"class_u_g2[{op.name}]", which="g2", eval_fn=g2_eval, inv_at_zero_fn=g2_inv,
-        domain_S=lambda m: op.in_domain(omega, m.negated()), context=omega,
-    )
-    return g1, g2
+    return side("g1", 1.0), side("g2", -1.0)
 
 
 def witness_p_laplace(p: float, omega: JetPoint,
@@ -225,25 +218,16 @@ def witness_eig_sum(h: MonotoneFunction) -> tuple[ClassMWitness, ClassMWitness]:
             f"eig_sum({h.name}) has a witness pair iff H is unbounded above and below"
         )
 
-    def tail_sum_g1(m):
-        evals = m.eigenvalues()
-        return sum(h.forward(float(v)) for v in evals[1:])
+    def side(which, s):
+        def tail(m):  # H(s lambda_j(M)) over j = 2..N, in increasing order of s lambda_j(M)
+            evals = m.eigenvalues()[1:].tolist()
+            return sum(h.forward(s * v) for v in (evals if s > 0 else evals[::-1]))
 
-    def tail_sum_g2(m):
-        neg_evals = sorted(-float(v) for v in m.eigenvalues())
-        return sum(h.forward(v) for v in neg_evals[:-1])
+        return ClassMWitness(name=f"eig_sum_{which}({h.name})", which=which,
+                             eval_fn=lambda t, m: h.forward(t) + tail(m),
+                             inv_at_zero_fn=lambda m: h.inverse(-tail(m)))
 
-    g1 = ClassMWitness(
-        name=f"eig_sum_g1({h.name})", which="g1",
-        eval_fn=lambda t, m: h.forward(t) + tail_sum_g1(m),
-        inv_at_zero_fn=lambda m: h.inverse(-tail_sum_g1(m)),
-    )
-    g2 = ClassMWitness(
-        name=f"eig_sum_g2({h.name})", which="g2",
-        eval_fn=lambda t, m: h.forward(t) + tail_sum_g2(m),
-        inv_at_zero_fn=lambda m: h.inverse(-tail_sum_g2(m)),
-    )
-    return g1, g2
+    return side("g1", 1.0), side("g2", -1.0)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,13 @@ import json
 import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from classm import BoundReport, Certificate, EpsilonSchedule, PassReport, SampleConfig, cli, errors
+from classm import (BoundReport, Certificate, EpsilonSchedule, PassReport, SampleConfig,
+                    SymmetricMatrix, cli, errors)
 from classm.cli import _build_parser, main
 from classm.falsify import _COUNTEREXAMPLES
 
@@ -412,6 +414,28 @@ class TestFallbackCertificates:
         assert (code, out) == (2, "")
         assert err.startswith("internal error: certificate counterexample.inf_laplace failed "
                               "reverification") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("off", [0.0, 1.0])
+    def test_lemma_certificate_is_reverified(self, capsys, monkeypatch, off):
+        """sums-demo prints the lemma's certificate inside its trace, after its reverify()."""
+        real = cli.lemma_upper_bound
+
+        def escaped(a, eps0, family):
+            x, y = family.pairs[0]
+            pushed = ((SymmetricMatrix(x.entries + 100.0 * np.eye(2)), y),) + family.pairs[1:]
+            cert = real(a, eps0, dataclasses.replace(family, pairs=pushed))
+            return dataclasses.replace(cert, margin=cert.margin + off)
+
+        monkeypatch.setattr(cli, "lemma_upper_bound", escaped)
+        code, out, err = run_cli(capsys, "sums-demo", "--alpha", "1", "--dim", "2", "--op", LIN,
+                                 "--terms", "8", "--json")
+        if off:
+            assert (code, out) == (2, "")
+            assert err.startswith("internal error: certificate lemma_upper_bound.violation "
+                                  "failed reverification") and len(err.splitlines()) == 1
+        else:
+            assert (code, err) == (1, "")
+            assert json.loads(out)["uniform_upper_bound"]["kind"] == "lemma_upper_bound.violation"
 
     @pytest.mark.parametrize("checker, argv", [
         ("check_degenerate_ellipticity", ["check-ellipticity", "--op", LIN, "--dim", "2"]),

@@ -378,10 +378,40 @@ class TestJson:
         {"family": "p_laplace", "p": "4"},
         {"family": "linear_uniform", "theta": "1", "c": "0.5", "b": ["1", "2"],
          "sigma": [["1", "0"], ["0", "1"]]},
+        # JSON null is not an omitted field
+        {"family": "linear_uniform", "theta": 1.0, "c": None},
+        {"family": "linear_uniform", "theta": 1.0, "sigma": None},
+        {"family": "linear_uniform", "theta": 1.0, "b": None},
+        {"family": "k_hessian", "k": None},
+        {"family": "eig_sum", "h": "odd_root", "d": None},
     ])
     def test_rejects_coerced_fields(self, spec):
         with pytest.raises(BadParams):
             operator_from_json(spec)
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"family": "p_laplace", "p": "4"}, "p must be finite and >= 1, got '4'"),
+        ({"family": "k_hessian", "k": 2.7}, "k must be an integer >= 1, got 2.7"),
+        ({"family": "eig_sum", "h": "odd_root", "d": 3.9},
+         "d must be an odd integer >= 3, got 3.9"),
+        ({"family": "linear_uniform", "theta": 1.0, "b": [False, 1.0]},
+         "b must be a nonempty vector of finite real numbers, got a bool entry"),
+        ({"family": "linear_uniform", "theta": 1.0, "sigma": [[1.0, 0.0], [0.0, True]]},
+         "sigma must be a nonempty matrix of finite real numbers, got a bool entry"),
+        ({"family": "linear_uniform", "theta": 1.0, "c": None}, "field 'c' must not be null"),
+    ])
+    def test_a_field_is_refused_by_its_constructors_rule(self, spec, message):
+        with pytest.raises(BadParams) as info:
+            operator_from_json(spec)
+        assert str(info.value) == message
+
+    def test_numpy_array_fields_are_read_as_the_constructor_reads_them(self):
+        """No field test compares a value with None by ==, which an array cannot answer."""
+        b = np.array([0.0, 1.0])
+        built = operator_from_json({"family": "linear_uniform", "theta": 1.0, "b": b})
+        assert built.evaluate(unit_jet(2, 1), SymmetricMatrix.zero(2)) == 1.0
+        with pytest.raises(BadParams, match="^p must be finite and >= 1, got array"):
+            operator_from_json({"family": "p_laplace", "p": np.array([3.0, 4.0])})
 
     # a valid value for every field that catalog() lists
     _FIELD_VALUES = {"theta": 1.0, "sigma": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 1.0], "c": 0.5,

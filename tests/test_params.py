@@ -326,20 +326,21 @@ def test_numpy_arrays_build_what_float_lists_build(entry, arg, name, error, ndim
         assert (built.dtype, built.tobytes()) == (expected.dtype, expected.tobytes()), value
 
 
-# isinstance(..., int) and isinstance(..., (int, float)) as well as the numbers ABCs
+# isinstance(..., int), isinstance(..., bool) and isinstance(..., (int, float)) as well as
+# the numbers ABCs
 _NUMBER_TESTS = re.compile(r"numbers\.(Integral|Real)\b"
-                           r"|isinstance\([^()]*,\s*(int|\(int, float\))\)")
+                           r"|isinstance\([^()]*,\s*(int|bool|\(int, float\))\)")
 # np.asarray(..., dtype=float) and np.array(..., float), on one line
 _ARRAY_CONVERSIONS = re.compile(r"np\.(asarray|array)\(.*\bfloat.*")
 
 
 def test_only_errors_py_decides_what_a_number_is():
-    """The rules live in errors.py; no other module tests a value's numeric type or turns a
-    value into a float array itself. The exceptions are cli.main, which reads
-    SystemExit.code (argparse exits with an int code or a message, which is no number a
-    caller hands in), and ``Spectrum`` and ``SymmetricMatrix.eigenvalues``, which hold the
-    Jacobi eigensolver's own output, no value a caller hands in: past the float range it
-    may be +-inf."""
+    """The rules live in errors.py; no other module tests a value's numeric type, asks whether
+    it is a bool, or turns a value into a float array itself. The exceptions are cli.main,
+    which reads SystemExit.code (argparse exits with an int code or a message, which is no
+    number a caller hands in), and ``Spectrum`` and ``SymmetricMatrix.eigenvalues``, which
+    hold the Jacobi eigensolver's own output, no value a caller hands in: past the float
+    range it may be +-inf."""
     asking = sorted((path.name, match.group(0)) for path in SRC.glob("*.py")
                     for match in _NUMBER_TESTS.finditer(path.read_text()))
     assert {name for name, _ in asking} == {"errors.py", "cli.py"}

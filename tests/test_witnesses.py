@@ -1,3 +1,6 @@
+import functools
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from classm import (
     BadArgument,
     BadParams,
     ClassMWitness,
+    ClassUWitness,
     DimMismatch,
     JetPoint,
     NonFiniteValue,
@@ -69,6 +73,52 @@ def test_closed_forms_are_the_bisected_zero_crossing(n, seed, scale):
         closed = g.inv_at_zero(m)
         assert abs(closed - bisect_inverse_at_zero(g.eval_fn, m)) <= 1e-8 * (1.0 + abs(closed)), \
             g.name
+
+
+def _embedding_formula(which, op, lam, h, omega, t, m):
+    """class_u_to_class_m's docstring term by term: (g(t, M), g(-, M)^{-1}(0))."""
+    lam1 = float(m.eigenvalues()[0])
+    if which == "g1":
+        f = op.evaluate(omega, m)
+        return lam * t - lam * lam1 - h - f, (h + f) / lam + lam1
+    f = op.evaluate(omega, m.negated())
+    return lam * t + lam * lam1 + h - f, (f - h) / lam - lam1
+
+
+def _eig_sum_formula(which, hf, t, m):
+    """witness_eig_sum's docstring term by term: H(t) plus the sum of H(lambda_j(M)) over
+    j = 2..N for g1, of H(lambda_j(-M)) over j = 1..N-1 for g2, lambda(-M) = sorted(-lambda(M))."""
+    evals = [float(v) for v in m.eigenvalues()]
+    tail = sum(map(hf.forward, evals[1:] if which == "g1" else sorted(-v for v in evals)[:-1]))
+    return hf.forward(t) + tail, hf.inverse(-tail)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sides_keep_the_bits_of_their_written_out_formulas(n):
+    """Both pairs build g1 and g2 through one side(which, s), s = +-1; every side's value and
+    zero crossing are its docstring formula bit for bit, signed zeros included."""
+    rng = np.random.default_rng(2400 + n)
+    omega = JetPoint(rng.uniform(-1.0, 1.0, n), 0.5, rng.uniform(0.5, 1.5, n))
+    ops = [linear_uniform(1.7, sigma=random_psd(rng, n), b=rng.uniform(-1.0, 1.0, n), c=0.3),
+           p_laplace(3.0), sqrt_gradient(), inf_laplace(), eig_sum(odd_root_monotone(3))]
+    sides = [(g, functools.partial(_embedding_formula, g.which, op, w.lam, w.H(omega), omega))
+             for op in ops
+             for w in (class_u_constant(0.7, 0.0), ClassUWitness(2.5, lambda jet: jet.r - 0.4))
+             for g in class_u_to_class_m(op, w, omega)]
+    sides += [(g, functools.partial(_eig_sum_formula, g.which, hf))
+              for hf in (identity_monotone(), odd_root_monotone(3), odd_root_monotone(5))
+              for g in witness_eig_sum(hf)]
+    zero_row = random_symmetric(rng, n).entries.copy()
+    zero_row[0, :] = zero_row[:, 0] = 0.0
+    mats = [random_symmetric(rng, n, scale) for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6)]
+    mats.append(SymmetricMatrix(zero_row))
+    bits = lambda x: struct.pack("<d", float(x))  # noqa: E731
+    for g, formula in sides:
+        for m in mats:
+            for t in (0.0, -0.0, 1.0, float(rng.uniform(-10.0, 10.0))):
+                value, zero = formula(t, m)
+                assert bits(g.evaluate(t, m)) == bits(value), (g.name, t, m.entries)
+                assert bits(g.inv_at_zero(m)) == bits(zero), (g.name, m.entries)
 
 
 class TestClassUEmbedding:
