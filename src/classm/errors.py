@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, the one rule for numeric parameters, the one
-rule for vector and matrix arguments, and the reading of integral floats in JSON."""
+"""Exception types shared across the toolkit, the one rule each for numeric parameters, for
+vector and matrix arguments and for typed objects, and the reading of integral floats in JSON."""
 
 import math
 import numbers
@@ -85,6 +85,13 @@ def _real(name: str, value, ok, what: str, error=BadParams) -> float:
 def _positive(name: str, value, error=BadParams) -> float:
     """``value`` as a float: any real number but a bool that is finite and > 0 as a float."""
     return _real(name, value, lambda v: 0.0 < v < math.inf, "finite and > 0", error)
+
+
+def _instance(name: str, value, cls, error=InvalidMatrix):
+    """``value`` if it is a ``cls``, else ``error("{name} must be a {cls}, not {its type}")``."""
+    if isinstance(value, cls):
+        return value
+    raise error(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 def _exact_reals(name: str, values, error=BadArgument) -> list:

@@ -223,9 +223,9 @@ class _Draws:
         self._buf = rng.uniform(-scale, scale, _DRAW_BUFFER)
 
     def uniform(self, low: float, high: float, size) -> np.ndarray:
-        if (low, high) != (-self._scale, self._scale):
+        if low != -self._scale or high != self._scale:
             raise ToolkitError(f"trial draws are on +-{self._scale!r}, not [{low!r}, {high!r}]")
-        count = math.prod(size) if isinstance(size, tuple) else size
+        count = size[0] * size[1] if type(size) is tuple else size
         start, stop = self._pos, self._pos + count
         if stop > len(self._buf):
             fresh = self._rng.uniform(low, high, max(count, _DRAW_BUFFER))
@@ -252,10 +252,10 @@ def _psd_draw(rng, n: int, scale: float) -> np.ndarray:
 def _jet_draw(rng, n: int, scale: float) -> JetPoint:
     """x, r and nu in stream order; nu is redrawn, up to 64 draws, while |nu| < 1e-6."""
     head = rng.uniform(-scale, scale, 2 * n + 1)  # the doubles of three draws of n, 1 and n
-    x, r, nu = head[:n].copy(), float(head[n]), head[n + 1:].copy()
+    x, r, nu = head[:n], float(head[n]), head[n + 1:]  # views: nothing writes the buffer
     for attempt in range(64):
         if attempt:
-            nu = rng.uniform(-scale, scale, n).copy()
+            nu = rng.uniform(-scale, scale, n)
         omega = JetPoint._of_finite(x, r, nu)
         if omega._nu_norm >= 1e-6:
             return omega

@@ -20,6 +20,7 @@ nu = 0, so |nu| below 1e-12 is treated as zero).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Mapping, Optional
@@ -27,7 +28,7 @@ from typing import Any, Callable, Mapping, Optional
 import numpy as np
 
 from .errors import (BadParams, DimMismatch, NonFiniteValue, OutOfDomain, ToolkitError, _array,
-                     _integer, _integer_field, _positive, _real)
+                     _instance, _integer, _integer_field, _positive, _real)
 from .symmat import (
     GAMMA_CONE_TOL,
     SymmetricMatrix,
@@ -63,8 +64,8 @@ class JetPoint:
 
     def _store(self, x: np.ndarray, r: float, nu: np.ndarray) -> "JetPoint":
         norm = math.hypot(*nu.tolist())
-        if 1e-150 < norm < 1e150:  # numpy's sum of squares neither overflows nor underflows
-            norm = float(np.linalg.norm(nu))
+        if 1e-150 < norm < 1e150:  # numpy's norm, whose sum of squares stays in range here
+            norm = math.sqrt(nu.dot(nu))
         x.setflags(write=False)
         nu.setflags(write=False)
         self.__dict__.update(x=x, r=r, nu=nu, _nu_norm=norm)
@@ -78,6 +79,12 @@ class JetPoint:
     @property
     def dim(self) -> int:
         return int(self.x.shape[0])
+
+    @functools.cached_property
+    def _unit_nu(self) -> np.ndarray:  # nu / |nu|, read only, for jet points in the domain
+        unit = self.nu / self._nu_norm
+        unit.setflags(write=False)
+        return unit
 
 
 def unit_jet(dim: int, axis: int = 0) -> JetPoint:
@@ -161,7 +168,7 @@ class OperatorDescriptor:
 
     def evaluate(self, w: JetPoint, x: SymmetricMatrix, *, checked: bool = True) -> float:
         """F(w, x); ``checked=False`` skips the size and domain checks a caller has made."""
-        if checked and w.dim != x.dim:
+        if checked and w.dim != _instance("x", x, SymmetricMatrix).dim:
             raise DimMismatch(f"{self.name}: a jet point in R^{w.dim}, a {x.dim}x{x.dim} matrix")
         if checked and not self.in_domain(w, x):
             raise OutOfDomain(f"{self.name}: ({w!r}, matrix dim {x.dim}) is outside the domain")
@@ -243,7 +250,7 @@ def linear_uniform(theta: float, sigma=None, b=None, c=None) -> OperatorDescript
             if s.dim != x_mat.dim:
                 raise BadParams(f"sigma(x) has dim {s.dim}, matrix has dim {x_mat.dim}")
             a = a + s.entries
-        val = -float(np.trace(a @ x_mat.entries))
+        val = -float((a @ x_mat.entries).trace())
         if b_at is not None:
             b_x = b_at(w.x)
             if b_x.shape != w.nu.shape:
@@ -269,10 +276,8 @@ def _p_laplace(p: float, homogeneous: bool) -> OperatorDescriptor:
     family = "p_laplace_homog" if homogeneous else "p_laplace"
 
     def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
-        nn = w._nu_norm
-        unit = w.nu / nn
-        proj = float(unit @ x_mat.entries @ unit)
-        return -(nn ** power) * (x_mat.trace() + (p - 2.0) * proj)
+        proj = float(w._unit_nu @ x_mat.entries @ w._unit_nu)
+        return -(w._nu_norm ** power) * (x_mat.trace() + (p - 2.0) * proj)
 
     return OperatorDescriptor(
         name=f"{family}(p={p:g})",
@@ -307,7 +312,7 @@ def inf_laplace_homog() -> OperatorDescriptor:
 
     def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
         # past |nu| = 1e150 the squares overflow, so nu is rescaled there only, as in _nu_norm
-        nu = w.nu / w._nu_norm if w._nu_norm >= 1e150 else w.nu
+        nu = w._unit_nu if w._nu_norm >= 1e150 else w.nu
         return -float(nu @ x_mat.entries @ nu) / float(nu @ nu)
 
     return OperatorDescriptor(
@@ -345,17 +350,12 @@ def k_hessian(k: int) -> OperatorDescriptor:
 
 def eig_sum(h: MonotoneFunction) -> OperatorDescriptor:
     """F_H(X) = -sum_j H(lambda_j(X)) for strictly increasing H."""
-    if not isinstance(h, MonotoneFunction):
-        raise BadParams("eig_sum expects a MonotoneFunction")
-
-    def raw(w: JetPoint, x_mat: SymmetricMatrix) -> float:
-        return -sum(h.forward(float(lam)) for lam in x_mat.eigenvalues())
-
+    h = _instance("h", h, MonotoneFunction, BadParams)
     return OperatorDescriptor(
         name=f"eig_sum({h.name})",
         family="eig_sum",
         params={"h": h},
-        raw_evaluate=raw,
+        raw_evaluate=lambda w, x_mat: -sum(map(h.forward, x_mat.eigenvalues().tolist())),
     )
 
 
@@ -432,7 +432,7 @@ def operator_from_json(spec) -> OperatorDescriptor:
 
 def _eig_sum_from_json(spec: dict) -> OperatorDescriptor:
     hname = spec.pop("h", None)
-    if hname not in _MONOTONE_BY_NAME:
+    if not isinstance(hname, str) or hname not in _MONOTONE_BY_NAME:
         raise BadParams(f"unknown monotone function {hname!r}; known: {sorted(_MONOTONE_BY_NAME)}")
     return eig_sum(_MONOTONE_BY_NAME[hname](**{k: _integer_field(v) for k, v in spec.items()}))
 

@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from .errors import (BadArgument, DimMismatch, InvalidMatrix, ToolkitError, _array, _exact_reals,
-                     _integer, _real)
+                     _instance, _integer, _real)
 
 # Construction rejects inputs whose raw asymmetry exceeds this fraction of
 # the largest entry; below the threshold we silently symmetrize.
@@ -192,7 +192,7 @@ class SymmetricMatrix:
         return self._negation
 
     def trace(self) -> float:
-        return float(np.trace(self.entries))
+        return float(self.entries.trace())
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues (cached; vectors are not accumulated)."""
@@ -229,41 +229,39 @@ class SymmetricMatrix:
 def _jacobi(matrix: np.ndarray, want_vectors: bool):
     """Cyclic Jacobi sweeps on plain Python floats.
 
-    Rotates (p, q) pairs in fixed row order until the off-diagonal Frobenius
-    norm drops below 1e-12 times the Frobenius norm of the input, capped at
-    30 sweeps. An input too large or too small for those norms is scaled by
-    a power of two before the sweeps and the eigenvalues are scaled back, so
-    the result is right at any finite scale. ``_jacobi_kernel`` computes eigenvalues
-    alone up to ``_JACOBI_UNROLL_MAX_N``, ``_jacobi_loop`` the rest, with the same
-    sequential scalar arithmetic, so the result is bit deterministic.
-    Returns (diagonal, vectors or None); the vectors are rows of a
+    Rotates (p, q) pairs in fixed row order until the off-diagonal Frobenius norm drops
+    below 1e-12 times the Frobenius norm of the input, capped at 30 sweeps. The sweeps
+    refuse an input too large or too small for those norms; it is scaled by a power of two
+    and the eigenvalues are scaled back, so the result is right at any finite scale.
+    ``_jacobi_kernel`` computes the norm and eigenvalues alone up to ``_JACOBI_UNROLL_MAX_N``,
+    ``_jacobi_loop`` the rest, with the same sequential scalar arithmetic, so the result is
+    bit deterministic. Returns (diagonal, vectors or None); the vectors are rows of a
     list-of-lists whose columns are eigenvectors.
     """
     a = matrix.tolist()
-    n = len(a)
-    fro = math.sqrt(_sum_squares(a))
-    shift = 0
-    if not _JACOBI_SAFE_FRO[0] <= fro <= _JACOBI_SAFE_FRO[1]:
+    sweeps = (functools.partial(_jacobi_loop, want_vectors=want_vectors)
+              if want_vectors or len(a) > _JACOBI_UNROLL_MAX_N else _jacobi_kernel(len(a)))
+    result = sweeps(a)
+    if result is None:  # the norm is outside _JACOBI_SAFE_FRO; a zero matrix keeps shift 0
         shift = math.frexp(max(abs(v) for row in a for v in row))[1]
-        a = [[math.ldexp(v, -shift) for v in row] for row in a]
-        fro = math.sqrt(_sum_squares(a))
-    thresh = _JACOBI_REL_OFF * fro
-    if want_vectors or n > _JACOBI_UNROLL_MAX_N:
-        diag, q = _jacobi_loop(a, thresh, want_vectors)
-    else:
-        diag, q = _jacobi_kernel(n)(a, thresh), None
-    if shift:
-        with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
-            diag = np.ldexp(diag, shift).tolist()
-    return diag, q
+        result = sweeps([[math.ldexp(v, -shift) for v in row] for row in a], scaled=True)
+        if shift:
+            with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
+                result = np.ldexp(result[0], shift).tolist(), result[1]
+    return result
 
 
 def _sweep_cap_error() -> ToolkitError:
     return ToolkitError(f"Jacobi eigensolver failed to converge in {_JACOBI_MAX_SWEEPS} sweeps")
 
 
-def _jacobi_loop(a: list, thresh: float, want_vectors: bool):
-    """The sweeps of ``_jacobi`` on the rows ``a``, rotated in place."""
+def _jacobi_loop(a: list, want_vectors: bool, scaled: bool = False):
+    """The sweeps of ``_jacobi`` on the rows ``a``, rotated in place, or None where they
+    are not ``scaled`` and their Frobenius norm is outside ``_JACOBI_SAFE_FRO``."""
+    fro = math.sqrt(_sum_squares(a))
+    if not (scaled or _JACOBI_SAFE_FRO[0] <= fro <= _JACOBI_SAFE_FRO[1]):
+        return None
+    thresh = _JACOBI_REL_OFF * fro
     n = len(a)
     q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
     schedule = _rotation_schedule(n)
@@ -311,15 +309,19 @@ def _jacobi_loop(a: list, thresh: float, want_vectors: bool):
 
 @functools.cache
 def _jacobi_kernel(n: int):
-    """The eigenvalues of ``_jacobi_loop`` for one N as straight-line code on locals
-    a_i_j (i <= j): each rotation written out in schedule order, one tuple assignment
-    per other index, so that every float operation and its order are the loop's."""
+    """``_jacobi_loop`` without vectors for one N as straight-line code on locals a_i_j (i <= j)
+    of symmetric rows: the norm's squares in ``_sum_squares``' order, then each rotation in
+    schedule order, one tuple assignment per other index, every float operation as the loop's."""
     a = [[f"a_{min(i, j)}_{max(i, j)}" for j in range(n)] for i in range(n)]
-    off = " + ".join(["0.0"] + [f"{a[p][r]} * {a[p][r]}" for p, r, _ in _rotation_schedule(n)])
-    src = ["def jacobi_sweeps(rows, thresh):", "    sqrt = math.sqrt"]
+    squares = lambda names: " + ".join(["0.0"] + [f"{v} * {v}" for v in names])
+    off = squares(a[p][r] for p, r, _ in _rotation_schedule(n))
+    src = ["def jacobi_sweeps(rows, scaled=False):", "    sqrt = math.sqrt"]
     src += [f"    {', '.join(['_'] * i + [a[i][j] for j in range(i, n)])}, = rows[{i}]"
             for i in range(n)]
-    src += ["    for sweep in range(_JACOBI_MAX_SWEEPS + 1):",
+    src += [f"    fro = sqrt({squares(itertools.chain.from_iterable(a))})",
+            "    if not (scaled or _JACOBI_SAFE_FRO[0] <= fro <= _JACOBI_SAFE_FRO[1]):",
+            "        return None", "    thresh = _JACOBI_REL_OFF * fro",
+            "    for sweep in range(_JACOBI_MAX_SWEEPS + 1):",
             f"        if sqrt(2.0 * ({off})) <= thresh:", "            break",
             "        if sweep == _JACOBI_MAX_SWEEPS:", "            raise _sweep_cap_error()"]
     for p, r, others in _rotation_schedule(n):
@@ -336,7 +338,7 @@ def _jacobi_kernel(n: int):
                 f"            {apr} = 0.0"]
         pairs = [(a[i][p], a[i][r]) for i in others]
         src += [f"            {x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}" for x, y in pairs]
-    src.append(f"    return [{', '.join(a[i][i] for i in range(n))}]")
+    src.append(f"    return [{', '.join(a[i][i] for i in range(n))}], None")
     namespace = {}
     exec(compile("\n".join(src), f"<jacobi n={n}>", "exec"), globals(), namespace)
     return namespace["jacobi_sweeps"]
@@ -365,20 +367,18 @@ def eigen_decompose(x: SymmetricMatrix) -> Spectrum:
     largest-magnitude component is made positive, so identical input yields
     an identical Spectrum.
     """
-    if not isinstance(x, SymmetricMatrix):
-        raise InvalidMatrix("eigen_decompose expects a SymmetricMatrix")
-    return x.spectrum()
+    return _instance("x", x, SymmetricMatrix).spectrum()
 
 
 def operator_norm(x: SymmetricMatrix) -> float:
     """max_j |lambda_j(x)|."""
-    evals = x.eigenvalues()
+    evals = _instance("x", x, SymmetricMatrix).eigenvalues()
     return float(max(abs(evals[0]), abs(evals[-1])))
 
 
 def loewner_leq(x: SymmetricMatrix, y: SymmetricMatrix, tol: float = DEFAULT_LOEWNER_TOL) -> bool:
     """True iff x <= y in the Loewner order, i.e. lambda_1(y - x) >= -tol."""
-    if x.dim != y.dim:
+    if _instance("x", x, SymmetricMatrix).dim != _instance("y", y, SymmetricMatrix).dim:
         raise DimMismatch(f"Loewner comparison of {x.dim}x{x.dim} against {y.dim}x{y.dim}")
     tol = _real("tol", tol, lambda v: 0.0 <= v < math.inf, "finite and >= 0", BadArgument)
     return _lambda1_at_least(SymmetricMatrix(y.entries - x.entries), -tol)
@@ -451,7 +451,7 @@ def gamma_k_member(x: SymmetricMatrix, k: int, tol: float = GAMMA_CONE_TOL) -> b
     of the open cone where all the S_j are positive, which is the admissible
     domain of the k-Hessian operator.
     """
-    k = _integer("k", k, 1, BadArgument, x.dim)
+    k = _integer("k", k, 1, BadArgument, _instance("x", x, SymmetricMatrix).dim)
     tol = _real("tol", tol, lambda v: 0.0 <= v < math.inf, "finite and >= 0", BadArgument)
     return _gamma_k(x, k, tol)
 
@@ -546,7 +546,7 @@ def block_compose(e: SymmetricMatrix, b, d: SymmetricMatrix) -> BlockMatrix2N:
 
 def block_extract(a2n: SymmetricMatrix) -> tuple[SymmetricMatrix, np.ndarray, SymmetricMatrix]:
     """Split a 2N x 2N symmetric matrix into its (E, B, D) blocks."""
-    if a2n.dim % 2 != 0:
+    if _instance("a2n", a2n, SymmetricMatrix).dim % 2 != 0:
         raise DimMismatch(f"block extraction needs an even dimension, got {a2n.dim}")
     n = a2n.dim // 2
     e = SymmetricMatrix(a2n.entries[:n, :n])

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .errors import (BadArgument, BadParams, DimMismatch, NonFiniteValue, NotInClassM, OutOfDomain,
-                     _positive, _real)
+                     _instance, _positive, _real)
 from .operators import (GRAD_NORM_FLOOR, JetPoint, MonotoneFunction, OperatorDescriptor, _finite,
                         _jsonable)
 from .symmat import SymmetricMatrix
@@ -169,7 +169,7 @@ def witness_p_laplace(p: float, omega: JetPoint,
     p = _real("p", p, math.isfinite, "finite")
     if p <= 1.0:
         raise NotInClassM(f"the p-Laplace operator has a witness pair iff 1 < p < inf, got p={p}")
-    nn = omega._nu_norm
+    nn = _instance("omega", omega, JetPoint, BadParams)._nu_norm
     if nn < GRAD_NORM_FLOOR:
         raise OutOfDomain("p-Laplace witnesses need a nonzero gradient slot")
     n = omega.dim
@@ -211,8 +211,7 @@ def witness_eig_sum(h: MonotoneFunction) -> tuple[ClassMWitness, ClassMWitness]:
     so g1(-, M)^{-1}(0) = H^{-1}(-sum_{j>=2} H(lambda_j(M))) and likewise for
     g2. Context-free: the operator never reads the jet point.
     """
-    if not isinstance(h, MonotoneFunction):
-        raise BadParams("witness_eig_sum expects a MonotoneFunction")
+    h = _instance("h", h, MonotoneFunction, BadParams)
     if not h.unbounded:
         raise NotInClassM(
             f"eig_sum({h.name}) has a witness pair iff H is unbounded above and below"

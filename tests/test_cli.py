@@ -257,6 +257,10 @@ class TestExitCodes:
             (THETA_1E400, "theta must be finite and > 0, got inf"),
             ('{"family":"eig_sum","h":"nope"}',
              "unknown monotone function 'nope'; known: ['arctan', 'identity', 'odd_root']"),
+            ('{"family":"eig_sum","h":["identity"]}',
+             "unknown monotone function ['identity']; known: ['arctan', 'identity', 'odd_root']"),
+            ('{"family":"eig_sum","h":{"name":"identity"}}', "unknown monotone function "
+             "{'name': 'identity'}; known: ['arctan', 'identity', 'odd_root']"),
         ]),
         *((["counterexample", "--name", name, f"--c={c}"], f"c must be finite and <= 0, got {c}")
           for name in ("inf_laplace", "p1_laplace") for c in ("nan", "-inf")),

@@ -138,6 +138,24 @@ class TestTrialStreams:
                 return JetPoint(x, r, nu)
         raise SamplingExhausted("could not draw a usable gradient slot")
 
+    @pytest.mark.parametrize("n,scale", [(1, 1.0), (3, 1.0), (8, 1e3), (1, 2e-6), (2, 1e-6)])
+    def test_jet_draw_from_a_trial_stream_consumes_the_same_doubles(self, n, scale):
+        """x and nu are views of the stream's buffer, which the draws after them leave as
+        they were: the next draw and the jet point both hold the bytes of separate calls."""
+        for seed in range(100):
+            draws, twin = falsify._Draws(_rng(seed, 1, 0), scale), _rng(seed, 1, 0)
+            try:
+                ref = self._three_call_draw(twin, n, scale)
+            except SamplingExhausted:
+                continue
+            got = _jet_draw(draws, n, scale)
+            following = draws.uniform(-scale, scale, (n, n))
+            for _ in range(3):  # past the end of the buffer, which then moves on
+                draws.uniform(-scale, scale, 40)
+            assert following.tobytes() == twin.uniform(-scale, scale, (n, n)).tobytes()
+            assert (got.x.tobytes(), got.r, got.nu.tobytes(), got._nu_norm) == (
+                ref.x.tobytes(), ref.r, ref.nu.tobytes(), ref._nu_norm)
+
     @pytest.mark.parametrize("n,scale", [(1, 1.0), (3, 1.0), (4, 1e3), (1, 2e-6), (2, 1e-6),
                                          (1, 1e-7)])
     def test_jet_draw_matches_three_calls(self, n, scale):
@@ -459,7 +477,7 @@ class TestCounterexamples:
             counterexample("bounded_h", dim=2, h=identity_monotone())
 
     def test_bounded_h_refuses_what_is_no_monotone_function(self):
-        with pytest.raises(BadParams, match="^eig_sum expects a MonotoneFunction$"):
+        with pytest.raises(BadParams, match="^h must be a MonotoneFunction, not int$"):
             counterexample("bounded_h", h=3)
 
     def test_flat_divergence_blames_c_only_off_the_fixed_rungs(self):

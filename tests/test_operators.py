@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classm import (
     BadParams,
@@ -228,6 +230,61 @@ class TestJetPoint:
             assert (got.r, got._nu_norm) == (ref.r, ref._nu_norm) and type(got.r) is float
             assert not (got.x.flags.writeable or got.nu.flags.writeable)
             assert not (ref.x.flags.writeable or ref.nu.flags.writeable)
+
+    # |nu| just inside both gates of math.hypot, subnormal entries and subnormal squares
+    # next to normal ones, and a view into a larger buffer
+    @pytest.mark.parametrize("nu", [[1e-150 * (1 + 4e-16)], [0.0, -1e-150 * (1 + 4e-16)],
+                                    [1e150 * (1 - 2e-16)], [6e149, -8e149 * (1 - 2e-16)],
+                                    [1.0, 5e-324], [5e-324, -2.5e-310, 1e-3], [2e-150, 1e-160],
+                                    [1e-150] * 16, [0.1, -0.7, 0.3], [2.0**-537, 2.0**480]])
+    def test_gradient_norm_is_numpys_bit_for_bit_inside_the_gates(self, nu):
+        assert 1e-150 < math.hypot(*nu) < 1e150
+        w = JetPoint(np.zeros(len(nu)), 0.0, nu)
+        assert w._nu_norm == float(np.linalg.norm(w.nu))
+        buffer = np.array([7.0] + nu + [7.0])
+        view = JetPoint._of_finite(np.zeros(len(nu)), 0.0, buffer[1:-1])
+        assert view._nu_norm == w._nu_norm
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300),
+                              st.floats(-1e149, 1e149)), min_size=1, max_size=16))
+    def test_gradient_norm_is_numpys_or_math_hypots(self, nu):
+        w = JetPoint(np.zeros(len(nu)), 0.0, nu)
+        hypot = math.hypot(*nu)
+        assert w._nu_norm == (float(np.linalg.norm(w.nu)) if 1e-150 < hypot < 1e150 else hypot)
+
+    @pytest.mark.parametrize("nu", [[3.0, 4.0], [1e-12, 0.0, -2e-12], [1e200, -1e199],
+                                    [0.1, -0.7, 0.3], [5e-324, 1.0]])
+    def test_unit_gradient_is_cached_read_only_and_the_division(self, nu):
+        w = JetPoint(np.zeros(len(nu)), 0.0, nu)
+        unit = w._unit_nu
+        assert unit is w._unit_nu and unit.tobytes() == (w.nu / w._nu_norm).tobytes()
+        with pytest.raises(ValueError):
+            unit[0] = 0.0
+        assert dataclasses.asdict(w).keys() == {"x", "r", "nu"}  # a cache, not a field
+
+    @pytest.mark.parametrize("p", [1.25, 2.0, 3.0, 10.0])
+    def test_p_laplace_reads_the_unit_gradient_bit_for_bit(self, rng, p):
+        for homogeneous in (False, True):
+            op = p_laplace_homog(p) if homogeneous else p_laplace(p)
+            for _ in range(20):
+                w = JetPoint(rng.uniform(-1.0, 1.0, 3), 0.0, rng.uniform(-1.0, 1.0, 3))
+                x = random_symmetric(rng, 3)
+                nn = w._nu_norm
+                unit = w.nu / nn
+                proj = float(unit @ x.entries @ unit)
+                bracket = float(np.trace(x.entries)) + (p - 2.0) * proj
+                expected = -bracket if homogeneous else -(nn ** (p - 2.0)) * bracket
+                assert op.evaluate(w, x) == expected and op.evaluate(w, x) == expected
+
+    def test_linear_uniform_trace_is_numpys(self, rng):
+        sigma = random_symmetric(rng, 4).entries
+        sigma = sigma @ sigma
+        op = linear_uniform(0.5, sigma=sigma)
+        for _ in range(20):
+            x = random_symmetric(rng, 4, scale=1e3)
+            a = 0.5 * np.eye(4) + SymmetricMatrix(sigma).entries
+            assert op.evaluate(unit_jet(4), x) == -float(np.trace(a @ x.entries))
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(BadParams):

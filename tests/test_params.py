@@ -28,8 +28,11 @@ from classm import (
     SampleConfig,
     SymmetricMatrix,
     block_compose,
+    block_extract,
     class_u_constant,
     counterexample,
+    eig_sum,
+    eigen_decompose,
     elementary_symmetric,
     gamma_k_member,
     generate_admissible,
@@ -40,15 +43,17 @@ from classm import (
     loewner_leq,
     matrix_from_json_obj,
     odd_root_monotone,
+    operator_norm,
     p_laplace,
     p_laplace_homog,
     quadratic_doubling,
     sums,
     unit_jet,
     verify_eq1,
+    witness_eig_sum,
     witness_p_laplace,
 )
-from classm import cli
+from classm import cli, operators
 from classm.operators import _jsonable
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "classm"
@@ -242,6 +247,43 @@ def test_refusals_name_the_range(call, error, message):
     assert (type(info.value), str(info.value)) == (error, message)
 
 
+# A value object of the wrong type, each with the whole message it raises in place of the
+# AttributeError its first attribute lookup would raise.
+WRONG_TYPES = [
+    (lambda: loewner_leq(np.eye(2), _I2), InvalidMatrix, "x must be a SymmetricMatrix, not ndarray"),
+    (lambda: loewner_leq(_I2, [[1.0, 0.0], [0.0, 1.0]]), InvalidMatrix,
+     "y must be a SymmetricMatrix, not list"),
+    (lambda: gamma_k_member(np.eye(2), 1), InvalidMatrix,
+     "x must be a SymmetricMatrix, not ndarray"),
+    (lambda: operator_norm(np.eye(2)), InvalidMatrix, "x must be a SymmetricMatrix, not ndarray"),
+    (lambda: block_extract(np.eye(4)), InvalidMatrix,
+     "a2n must be a SymmetricMatrix, not ndarray"),
+    (lambda: eigen_decompose(np.eye(2)), InvalidMatrix,
+     "x must be a SymmetricMatrix, not ndarray"),
+    (lambda: p_laplace(4).evaluate(unit_jet(2), np.eye(2)), InvalidMatrix,
+     "x must be a SymmetricMatrix, not ndarray"),
+    (lambda: witness_p_laplace(4.0, [1.0, 0.0]), BadParams, "omega must be a JetPoint, not list"),
+    (lambda: eig_sum("identity"), BadParams, "h must be a MonotoneFunction, not str"),
+    (lambda: witness_eig_sum(None), BadParams, "h must be a MonotoneFunction, not NoneType"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", WRONG_TYPES,
+                         ids=[message for *_, message in WRONG_TYPES])
+def test_wrong_types_raise_one_toolkit_error_naming_the_type(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_unchecked_evaluation_asks_no_type(monkeypatch):
+    """``checked=False`` is the trial loop's path: it makes no type check."""
+    def refuse(*args):
+        raise AssertionError("the unchecked path checked a type")
+    monkeypatch.setattr(operators, "_instance", refuse)
+    assert p_laplace(4).evaluate(unit_jet(2), _I2, checked=False) == -4.0
+
+
 def test_elementary_symmetric_keeps_integers_exact_at_any_size():
     big = 10**400  # past the float range, which a float value may not be
     assert elementary_symmetric(2, [big, big + 1, 3]) == big * (big + 1) + 3 * (2 * big + 1)
@@ -353,3 +395,14 @@ def test_only_errors_py_decides_what_a_number_is():
         ("symmat.py", "np.array(eigenvectors, dtype=float)"),
         ("symmat.py", "np.array(sorted(diag), dtype=float)"),
     ]
+
+
+# numpy's dispatch wrappers around the ndarray methods the package calls instead:
+# np.trace(a) is a.trace(), and np.linalg.norm of a float vector is sqrt(v.dot(v))
+_NUMPY_WRAPPERS = re.compile(r"np\.trace\(|np\.linalg\.norm\(")
+
+
+def test_no_numpy_wrapper_where_a_method_does():
+    found = [(path.name, match.group(0)) for path in SRC.glob("*.py")
+             for match in _NUMPY_WRAPPERS.finditer(path.read_text())]
+    assert found == []

@@ -32,7 +32,7 @@ from classm import (
 from classm import symmat
 from classm.symmat import Spectrum, _jacobi, _lambda1_at_least
 from conftest import brute_sk, eig2_oracle, random_orthogonal, random_symmetric
-from jacobi_reference import reference_jacobi
+from jacobi_reference import _sum_squares as reference_sum_squares, reference_jacobi
 
 
 class TestConstruction:
@@ -307,6 +307,52 @@ def test_sweep_cap_raises_the_same_error_on_both_paths(monkeypatch, n, want_vect
     where = traceback.extract_tb(info.tb)[-1].filename
     kernel = n <= symmat._JACOBI_UNROLL_MAX_N and not want_vectors
     assert where == (f"<jacobi n={n}>" if kernel else symmat.__file__)
+
+
+@pytest.mark.parametrize("n", range(1, symmat._JACOBI_UNROLL_MAX_N + 1))
+@pytest.mark.parametrize("edge", [2.0 ** -400, 2.0 ** 400])
+def test_kernel_computes_its_own_norm_across_the_scaling_edges(n, edge):
+    """Eigenvalues alone, N <= 8: matrices whose Frobenius norm, as the reference sums it,
+    falls on both sides of a _JACOBI_SAFE_FRO edge. The kernel refuses exactly those
+    outside, and _jacobi returns the reference loop's bits on both sides."""
+    rng = np.random.default_rng(n)
+    sides = set()
+    for _ in range(4):
+        raw = rng.uniform(-1.0, 1.0, (n, n))
+        raw = (raw + raw.T) / 2.0
+        for factor in (1 - 2.0**-40, 1 - 2.0**-52, 1.0, 1 + 2.0**-52, 1 + 2.0**-40):
+            entries = SymmetricMatrix(raw * (edge * factor / np.linalg.norm(raw))).entries
+            fro = math.sqrt(reference_sum_squares(entries.tolist(), upper=False))
+            inside = symmat._JACOBI_SAFE_FRO[0] <= fro <= symmat._JACOBI_SAFE_FRO[1]
+            sides.add(inside)
+            assert (symmat._jacobi_kernel(n)(entries.tolist()) is None) == (not inside)
+            diag, q = _jacobi(entries, False)
+            ref_diag, _ = reference_jacobi(entries, False)
+            assert np.array(diag).tobytes() == np.array(ref_diag).tobytes() and q is None
+    assert sides == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_jacobi_zero_and_underflowing_norms_match_the_reference_loop(n, want_vectors):
+    """A zero matrix, -0.0 on its diagonal included, has no scale to restore and is
+    solved as given; entries whose squares all underflow are scaled like any other."""
+    raw = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+    for matrix in (np.zeros((n, n)), np.diag([-0.0] * n), 1e-200 * (raw + raw.T)):
+        entries = SymmetricMatrix(matrix).entries
+        diag, q = _jacobi(entries, want_vectors)
+        ref_diag, ref_q = reference_jacobi(entries, want_vectors)
+        assert np.array(diag).tobytes() == np.array(ref_diag).tobytes()
+        assert np.array(q).tobytes() == np.array(ref_q).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+       exponent=st.sampled_from((-1070, -500, 0, 500, 1019)))
+def test_trace_is_numpys(seed, n, exponent):
+    raw = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    x = SymmetricMatrix(np.ldexp((raw + raw.T) / 2.0, exponent))
+    assert np.float64(x.trace()).tobytes() == np.float64(np.trace(x.entries)).tobytes()
 
 
 def test_eigenvectors_compile_no_kernel():

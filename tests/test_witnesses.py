@@ -445,5 +445,5 @@ class TestAutoPair:
 
 @pytest.mark.parametrize("h", ["identity", None, identity_monotone().forward])
 def test_eig_sum_witness_refuses_what_is_not_a_monotone_function(h):
-    with pytest.raises(BadParams, match="expects a MonotoneFunction"):
+    with pytest.raises(BadParams, match="^h must be a MonotoneFunction, not "):
         witness_eig_sum(h)
