@@ -249,7 +249,7 @@ def _fallback_certificate(op: OperatorDescriptor, dim: int) -> Certificate:
     if fam in ("p_laplace", "p_laplace_homog"):
         return counterexample("p1_laplace", dim=dim)
     if fam == "k_hessian":
-        return counterexample("k_hessian", dim=dim, k=min(op.params["k"], dim))
+        return counterexample("k_hessian", dim=dim, k=op.params["k"])
     if fam == "eig_sum":
         return counterexample("bounded_h", dim=dim, h=op.params["h"])
     raise NotInClassM(f"no witness pair and no divergence construction for {op.name}")

@@ -47,7 +47,7 @@ from .operators import (
     unit_jet,
 )
 from .symmat import SymmetricMatrix, elementary_symmetric
-from .witnesses import ClassMWitness, ClassUWitness
+from .witnesses import ClassMWitness, ClassUWitness, class_u_constant
 
 # A sampled inequality must fail by more than this to count as a violation;
 # smaller discrepancies are numerical noise.
@@ -385,23 +385,25 @@ def _class_u_probes(cfg: SampleConfig):
     return probes
 
 
-def _class_u_sides(op: OperatorDescriptor, omega: JetPoint, b: SymmetricMatrix,
-                   m: SymmetricMatrix, lam: float, h: float,
-                   checked: bool = True) -> tuple[float, float]:
-    """F(omega, B) - F(omega, M) and the gap lam tr(M - B) + H, refused when not finite."""
-    gap = lam * (m.trace() - b.trace()) + h
-    if not math.isfinite(gap):
-        raise NonFiniteValue(f"the Class U gap lam tr(M - B) + H of {op.name} overflowed")
-    return op.evaluate(omega, b, checked=checked) - op.evaluate(omega, m, checked=checked), gap
+def _class_u_violation(op: OperatorDescriptor, w: ClassUWitness, omega: JetPoint, b, m,
+                       description: str, trial_index=None, rel_floor=0.0, **extra):
+    """The class_u.violation Certificate if F(omega, B) - F(omega, M) falls short of the gap
+    lam tr(M - B) + H(omega) by more than VIOLATION_MARGIN and rel_floor |gap|, else None.
+    (omega, B) and (omega, M) must lie in op's domain; a gap that is not finite is refused."""
+    lam, h = w.lam, float(w.H(omega))
 
+    def sides(checked):
+        gap = lam * (m.trace() - b.trace()) + h
+        if not math.isfinite(gap):
+            raise NonFiniteValue(f"the Class U gap lam tr(M - B) + H of {op.name} overflowed")
+        return op.evaluate(omega, b, checked=checked) - op.evaluate(omega, m, checked=checked), gap
 
-def _class_u_certificate(op, omega, b, m, lam, h, sides, description, trial_index=None,
-                         **extra) -> Certificate:
-    """The class_u.violation certificate for sides = _class_u_sides(op, omega, b, m, lam, h)."""
-    lhs, rhs = sides
+    lhs, rhs = sides(False)
+    if not lhs < rhs - max(VIOLATION_MARGIN, rel_floor * abs(rhs)):
+        return None
 
     def recheck():
-        lhs, rhs = _class_u_sides(op, omega, b, m, lam, h)
+        lhs, rhs = sides(True)
         return rhs - lhs
 
     return Certificate(
@@ -423,15 +425,8 @@ def check_class_u(op: OperatorDescriptor, w: ClassUWitness, cfg: SampleConfig):
     admits = lambda omega, b, m: op.in_domain(omega, b) and op.in_domain(omega, m)
 
     def run_one(case, index):  # on a case inside the domain
-        omega, b, m = case
-        h = float(w.H(omega))
-        sides = _class_u_sides(op, omega, b, m, w.lam, h, checked=False)
-        if sides[0] < sides[1] - VIOLATION_MARGIN:
-            return _class_u_certificate(
-                op, omega, b, m, w.lam, h, sides,
-                "B <= M but the uniform-ellipticity gap lam tr(M - B) + H(omega) is not met",
-                trial_index=index)
-        return None
+        return _class_u_violation(op, w, *case, "B <= M but the uniform-ellipticity gap lam "
+                                  "tr(M - B) + H(omega) is not met", index)
 
     def draw(rng, _carried):
         omega = _jet_draw(rng, cfg.dim, cfg.scale)
@@ -719,57 +714,53 @@ def _cert_p1_laplace(dim: int = 4, c: float = -100.0) -> Certificate:
 def _cert_power_not_u(d: int = 3, dim: int = 2, lam: float = 1.0,
                       h_const: float = 0.0) -> Certificate:
     dim = _integer("dim", dim, 2)
-    lam = _positive("lam", lam)
-    k_const = _real("H", h_const, math.isfinite, "finite")
+    w = class_u_constant(lam, h_const)
     op = eig_sum(odd_root_monotone(d))
     omega = unit_jet(dim)
     zero = SymmetricMatrix.zero(dim)
     for j in range(0, 120):
         n = 2.0 ** j
         x = SymmetricMatrix.diagonal([-n] + [-1.0 / n] * (dim - 1))
-        sides = _class_u_sides(op, omega, x, zero, lam, k_const)
-        if sides[0] < sides[1] - max(VIOLATION_MARGIN, 1e-8 * abs(sides[1])):
-            return _class_u_certificate(
-                op, omega, x, zero, lam, k_const, sides,
-                f"X_n = -diag(n, 1/n, ..., 1/n) with n = {n:g}: the gap lam tr(-X_n) + K "
-                "grows like lam n but F(X_n) - F(0) only like n^(1/d), so the "
-                "uniform-ellipticity inequality fails", n=n)
-    raise BadParams(f"no violating n below 2^120 for lam = {lam:g}, H = {k_const:g}")
+        cert = _class_u_violation(op, w, omega, x, zero, "X_n = -diag(n, 1/n, ..., 1/n) with "
+                                  f"n = {n:g}: the gap lam tr(-X_n) + K grows like lam n but "
+                                  "F(X_n) - F(0) only like n^(1/d), so the uniform-ellipticity "
+                                  "inequality fails", rel_floor=1e-8, n=n)
+        if cert is not None:
+            return cert
+    raise BadParams(f"no violating n below 2^120 for lam = {w.lam:g}, H = {w.H(omega):g}")
 
 
 def _cert_p_laplace_not_u(p: float = 4.0, dim: int = 2, lam: float = 1.0,
                           h_const: float = 0.0) -> Certificate:
     p = _positive("p", p)
     dim = _integer("dim", dim, 2)
-    lam = _positive("lam", lam)
-    h_val = _real("H", h_const, math.isfinite, "finite")
+    w = class_u_constant(lam, h_const)
     if p == 2.0:
         raise BadParams("p = 2 is the Laplacian, which is uniformly elliptic")
     op = p_laplace(p)
     # |c|^(p-2) = lam/2 < lam puts nu in the flat regime; nu = c e1 then lies
     # in the nullspace of Y - X for Y supported on the last axis.
     try:  # near p = 2, c overflows or underflows; for huge p it rounds to 1
-        c = (lam / 2.0) ** (1.0 / (p - 2.0))
+        c = (w.lam / 2.0) ** (1.0 / (p - 2.0))
         realised = c ** (p - 2.0)
     except (OverflowError, ZeroDivisionError):
         c = realised = math.inf
-    if not (math.isfinite(c) and c >= 1e-10 and realised < lam):
-        raise BadParams(f"cannot realize |c|^(p-2) = lam/2 for p={p}, lam={lam}")
+    if not (math.isfinite(c) and c >= 1e-10 and realised < w.lam):
+        raise BadParams(f"cannot realize |c|^(p-2) = lam/2 for p={p}, lam={w.lam}")
     base = unit_jet(dim)
     omega = JetPoint(base.x, base.r, base.nu * c)
-    ell = 2.0 * (abs(h_val) + 1.0) / lam + 1.0
+    ell = 2.0 * (abs(w.H(omega)) + 1.0) / w.lam + 1.0
     tail = np.zeros(dim)
     tail[-1] = ell
     y = SymmetricMatrix.diagonal(tail)
     x = SymmetricMatrix.zero(dim)
-    sides = _class_u_sides(op, omega, x, y, lam, h_val)
-    if not sides[0] < sides[1] - VIOLATION_MARGIN:  # the rounded |c|^(p-2) sits too close to lam
-        raise BadParams(f"|c|^(p-2) = {realised!r} leaves no gap for lam={lam}, H={h_val}")
-    return _class_u_certificate(
-        op, omega, x, y, lam, h_val, sides,
-        "nu = c e1 sits in the nullspace of Y = diag(0, ..., 0, l), so "
-        "F_p(nu, 0) - F_p(nu, Y) = |nu|^(p-2) l, while the required gap is "
-        "lam l + H; with |c|^(p-2) = lam/2 and l large the gap wins", c=c, l=ell)
+    cert = _class_u_violation(op, w, omega, x, y, "nu = c e1 sits in the nullspace of Y = "
+                              "diag(0, ..., 0, l), so F_p(nu, 0) - F_p(nu, Y) = |nu|^(p-2) l, "
+                              "while the required gap is lam l + H; with |c|^(p-2) = lam/2 and l "
+                              "large the gap wins", c=c, l=ell)
+    if cert is None:  # the rounded |c|^(p-2) sits too close to lam
+        raise BadParams(f"|c|^(p-2) = {realised!r} leaves no gap for lam={w.lam}, H={w.H(omega)}")
+    return cert
 
 
 def _cert_bounded_h(dim: int = 3, h: MonotoneFunction | None = None) -> Certificate:

@@ -253,12 +253,13 @@ class BoundReport:
 
 
 def _default_lam(op: OperatorDescriptor) -> Optional[float]:
-    """The default Class U slope: theta for linear_uniform, 1 for sqrt_gradient, eig_sum(identity)
-    (-tr X) and the p-Laplace families at p = 2 (the Laplacian), else None."""
+    """The default Class U slope: theta for linear_uniform, 1 for sqrt_gradient, -tr X (eig_sum
+    of the identity, k_hessian at k = 1) and the Laplacian (p-Laplace at p = 2), else None."""
     if op.family == "linear_uniform":
         return op.params["theta"]
     laplacian = op.family in ("p_laplace", "p_laplace_homog") and op.params["p"] == 2.0
-    trace = op.family == "eig_sum" and op.params["h"].name == "identity"
+    trace = (op.family == "eig_sum" and op.params["h"].name == "identity"
+             or op.family == "k_hessian" and op.params["k"] == 1)
     return 1.0 if laplacian or trace or op.family == "sqrt_gradient" else None
 
 

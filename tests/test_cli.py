@@ -238,6 +238,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,message", [
         (["check-class-m", "--op", '{"family":"k_hessian","k":3}', "--dim", "2", "--lam", "1",
           "--trials", "5"], "k_hessian(k=3) applied to a 2x2 matrix"),
+        (["check-class-m", "--op", '{"family":"k_hessian","k":3}', "--dim", "2"],
+         "k must be an integer in 2..2, got 3"),
         (["check-ellipticity", "--op", P3, "--dim", "0"], "--dim must be in 1..16, got 0"),
         (["sums-demo", "--dim", "2", "--op", LIN, "--terms", "10001"],
          "--terms must be <= 10000, got 10001"),
@@ -502,6 +504,24 @@ class TestReports:
         code, thm = run_json(capsys, "bounds", "--op", op, "--E", e, "--D", d, "--lam", "1")
         assert code == 0
         assert (cor["lower_X"], cor["lower_negY"]) == (thm["lower_X"], thm["lower_negY"])
+
+    def test_first_hessian_defaults_to_slope_1(self, capsys):
+        """F = -S_1 = -tr X on the closed Gamma_1 cone: every command reads k_hessian at k = 1
+        as it reads it at --lam 1."""
+        op = '{"family":"k_hessian","k":1}'
+        e = '{"dim":3,"rows":[[1,0.5,0],[0.5,2,0],[0,0,-3]]}'
+        sampled = ["check-class-m", "--op", op, "--dim", "3", "--trials", "50"]
+        code, out, err = run_cli(capsys, *sampled, "--json")
+        assert (code, err) == (0, "") and run_cli(capsys, *sampled, "--lam", "1", "--json") == (
+            0, out, "")
+        assert (json.loads(out)["trials"], json.loads(out)["probes"]) == (50, 212)
+        bounds = ["bounds", "--op", op, "--E", e, "--D", e, "--json"]
+        code, out, err = run_cli(capsys, *bounds)
+        assert (code, err) == (0, "") and run_cli(capsys, *bounds, "--lam", "1") == (0, out, "")
+        code, cor = run_json(capsys, *bounds[:-1], "--route", "corollary")
+        assert code == 0 and cor["details"]["lam"] == 1.0
+        assert (cor["lower_X"], cor["lower_negY"]) == (json.loads(out)["lower_X"],
+                                                       json.loads(out)["lower_negY"])
 
     @pytest.mark.parametrize("family", ["p_laplace", "p_laplace_homog"])
     def test_laplacian_corollary_route_defaults_to_slope_1(self, capsys, family):

@@ -20,11 +20,15 @@ import pytest
 from classm import (
     BadArgument,
     BadParams,
+    BoundReport,
+    Certificate,
     ClassUWitness,
     EpsilonSchedule,
     InvalidMatrix,
     JetPoint,
+    NonFiniteValue,
     NotInClassM,
+    PassReport,
     SampleConfig,
     SymmetricMatrix,
     block_compose,
@@ -234,6 +238,8 @@ REFUSED_IN_FULL = [
      "b(x) has length 3, nu has length 2"),
     (lambda: witness_p_laplace(1.0, unit_jet(2)), NotInClassM,
      "the p-Laplace operator has a witness pair iff 1 < p < inf, got p=1.0"),
+    (lambda: BoundReport(0.0, math.inf, True, "w"), NonFiniteValue,
+     "bound report scalars must be finite"),
     *((lambda d=d: odd_root_monotone(d), BadParams, f"d must be an odd integer >= 3, got {d!r}")
       for d in (1, 4, np.int64(4), 2.5, True, "3")),
 ]
@@ -326,9 +332,9 @@ _ACCEPTED_ARRAY = {1: [3.0, -1.0], 2: [[2.0, -1.0], [-1.0, 3.0]]}
 
 def _refused_arrays(ndim: int, json_only: bool) -> list:
     """Each refused value: an entry that is no finite real number but a bool in the first
-    place, a string, ragged nesting, the other ndim, an empty array, and numpy arrays of
-    bools or complex numbers. None is refused as an entry; as the whole value, sigma, b and
-    the anchors read it as "not given"."""
+    place, a string, ragged nesting, the other ndim, an empty array, numpy arrays of bools
+    or complex numbers, and numpy arrays of different shapes side by side. None is refused
+    as an entry; as the whole value, sigma, b and the anchors read it as "not given"."""
     def first(entry):
         return [entry, 0.0] if ndim == 1 else [[entry, 0.0], [0.0, 1.0]]
     entries = ["1", True, None, 10**400, math.nan, math.inf, -math.inf]
@@ -337,7 +343,8 @@ def _refused_arrays(ndim: int, json_only: bool) -> list:
     refused = [first(entry) for entry in entries] + ["ab", ragged, other, empty]
     if not json_only:  # JSON has no complex numbers and no numpy arrays
         refused += [first(1j), np.ones(np.shape(first(0.0)), dtype=bool),
-                    np.ones(np.shape(first(0.0)), dtype=complex)]
+                    np.ones(np.shape(first(0.0)), dtype=complex),
+                    [np.zeros((2, 2)), np.zeros((2, 3))]]
     return refused
 
 
@@ -406,3 +413,52 @@ def test_no_numpy_wrapper_where_a_method_does():
     found = [(path.name, match.group(0)) for path in SRC.glob("*.py")
              for match in _NUMPY_WRAPPERS.finditer(path.read_text())]
     assert found == []
+
+
+# The Class U parameter rule: lam finite and > 0, H finite, checked by class_u_constant and
+# ClassUWitness; a construction that takes lam and H builds its witness with class_u_constant.
+_CLASS_U_RULE = re.compile(r'_positive\("lam"|_real\("H"')
+
+
+def test_only_witnesses_py_checks_lam_and_h():
+    found = sorted(path.name for path in SRC.glob("*.py")
+                   if _CLASS_U_RULE.search(path.read_text()))
+    assert found == ["witnesses.py"]
+
+
+# Every catalog family through check-class-m: its witness pair's verdict, or the divergence
+# certificate of a family without one. Only k > N is refused.
+CATALOG_OPS = [
+    {"family": "linear_uniform", "theta": 1.5},
+    *({"family": "p_laplace", "p": p} for p in (1, 1.5, 2, 4)),
+    *({"family": "p_laplace_homog", "p": p} for p in (1, 3)),
+    {"family": "inf_laplace"},
+    {"family": "inf_laplace_homog"},
+    *({"family": "k_hessian", "k": k} for k in (1, 2, 3)),
+    {"family": "eig_sum", "h": "identity"},
+    {"family": "eig_sum", "h": "arctan"},
+    {"family": "eig_sum", "h": "odd_root", "d": 3},
+    {"family": "sqrt_gradient"},
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("spec", CATALOG_OPS, ids=json.dumps)
+def test_every_catalog_family_gets_a_class_m_verdict(capsys, monkeypatch, spec, dim):
+    finished = []
+    real_finish = cli._finish
+    monkeypatch.setattr(cli, "_finish", lambda obj, *rest: finished.append(obj)
+                        or real_finish(obj, *rest))
+    code = cli.main(["check-class-m", "--op", json.dumps(spec), "--dim", str(dim),
+                     "--trials", "20", "--seed", "1"])
+    out = capsys.readouterr()
+    if spec.get("k", 0) > dim:
+        assert (code, out.out, out.err) == (2, "", f"error: k must be an integer in 2..{dim}, "
+                                                   f"got {spec['k']}\n")
+        return
+    [obj] = finished
+    if isinstance(obj, PassReport):
+        assert (code, obj.trials) == (0, 20)
+    else:
+        assert isinstance(obj, Certificate) and code == 1
+        assert obj.reverify() == obj.margin

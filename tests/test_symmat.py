@@ -62,6 +62,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
 
+    def test_equality_and_hash(self):
+        m = SymmetricMatrix([[1.0, 2.0], [2.0, 3.0]])
+        same = SymmetricMatrix(np.array([[1, 2], [2, 3]]))
+        assert m == same and hash(m) == hash(same) and len({m, same}) == 1
+        assert m != SymmetricMatrix.identity(2) and m != SymmetricMatrix.identity(3)
+        for other in (None, "m", 1.0, [[1.0, 2.0], [2.0, 3.0]]):
+            assert (m == other, m != other) == (False, True), other
+
     def test_entries_are_copied(self):
         raw, b = np.eye(2), np.zeros((2, 2))
         m = SymmetricMatrix(raw)

@@ -433,6 +433,8 @@ class TestAutoPair:
         assert "eig_sum" in g1.name
         g1, g2 = auto_witness_pair(linear_uniform(2.0), om, om)
         assert "class_u" in g1.name
+        g1, g2 = auto_witness_pair(k_hessian(1), om, om)  # -S_1 = -tr X: slope 1
+        assert g1.name == "class_u_g1[k_hessian(k=1)]"
         with pytest.raises(NotInClassM):
             auto_witness_pair(inf_laplace(), om, om)
         with pytest.raises(NotInClassM):
